@@ -237,16 +237,11 @@ stampSampling(Result &r, const sim::SamplingReport &report,
 void
 emitResult(const Result &r)
 {
-    std::string path;
-    if (const char *file = std::getenv("VSMOOTH_RESULT_FILE");
-        file && *file) {
-        path = file;
-    } else if (const char *dir = std::getenv("VSMOOTH_RESULT_DIR");
-               dir && *dir) {
-        path = std::string(dir) + "/" + r.experiment() + ".json";
-    } else {
+    const char *dir = std::getenv("VSMOOTH_RESULT_DIR");
+    if (!dir || !*dir)
         return;
-    }
+    const std::string path =
+        std::string(dir) + "/" + r.experiment() + ".json";
     std::ofstream out(path);
     if (!out)
         fatal("cannot write result file '%s'", path.c_str());

@@ -146,12 +146,11 @@ void stampSampling(Result &r, const sim::SamplingReport &report,
                    std::vector<std::pair<std::string, double>> bounds);
 
 /**
- * Emit a Result as JSON alongside the text tables. The destination
- * comes from the environment so interactive runs stay file-free:
- *   VSMOOTH_RESULT_FILE=<path>  write exactly there;
- *   VSMOOTH_RESULT_DIR=<dir>    write <dir>/<experiment>.json;
- * neither set: no file is written. `vsmooth verify` sets the former
- * for each experiment it re-runs and diffs against bench/golden/.
+ * Emit a Result as JSON alongside the text tables, to
+ * $VSMOOTH_RESULT_DIR/<experiment>.json; with the variable unset no
+ * file is written, so interactive runs stay file-free. `vsmooth
+ * verify` sets it for each experiment it re-runs and diffs against
+ * bench/golden/.
  */
 void emitResult(const Result &r);
 

@@ -7,13 +7,19 @@
  * throughput of running them together on the two cores (the 29x29
  * sweep). Policies then select pairs from a job pool using this
  * matrix. OracleMatrix performs that pre-run phase with the full
- * simulation stack and caches the results.
+ * simulation stack and caches the results. A matrix can also be saved
+ * to a file and loaded back bit for bit, so several processes can
+ * share one pre-run (cached()).
  */
 
 #ifndef VSMOOTH_SCHED_ORACLE_MATRIX_HH
 #define VSMOOTH_SCHED_ORACLE_MATRIX_HH
 
 #include <cstdint>
+#include <istream>
+#include <optional>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "resilience/perf_model.hh"
@@ -52,6 +58,18 @@ struct OracleConfig
     bool alignedSelfPairs = false;
 };
 
+/** How OracleMatrix::cached() obtained its matrix. */
+enum class CacheOutcome
+{
+    /** Loaded from the cache file. */
+    Hit,
+    /** Built, then written to the cache file. */
+    Miss,
+    /** Built; the cache directory failed its checks or the write
+     *  failed, so nothing was read or kept. */
+    Unusable,
+};
+
 /** The NxN pair-profile matrix over a benchmark suite. */
 class OracleMatrix
 {
@@ -59,10 +77,46 @@ class OracleMatrix
     /**
      * Run the pre-run measurement phase over all pairs (i <= j; the
      * matrix is symmetric by construction since core order does not
-     * matter).
+     * matter). Always a full build: the constructor never touches a
+     * cache.
      */
     OracleMatrix(const std::vector<workload::SpecBenchmark> &suite,
                  const OracleConfig &cfg);
+
+    /**
+     * The matrix for (suite, cfg) through a one-file cache: loaded
+     * from `file` when it holds a matrix saved under exactly `key`,
+     * else built by the constructor and written there atomically,
+     * replacing whatever the file held. `key` (one line) must name
+     * everything the profiles depend on besides the suite size.
+     *
+     * The directory holding `file` is created 0700 if missing and used
+     * only if it is a directory (not a symlink) owned by this user,
+     * with owner rwx and no group or other write permission. When it
+     * fails that check, or the write fails, the built matrix is still
+     * returned.
+     */
+    static OracleMatrix cached(
+        const std::vector<workload::SpecBenchmark> &suite,
+        const OracleConfig &cfg, const std::string &file,
+        const std::string &key, CacheOutcome *outcome = nullptr);
+
+    /**
+     * Stream the profiles in load()'s format, headed by `key`: the
+     * watched margins once, then one line per profile, doubles as
+     * their bit patterns. Returns false on a stream error.
+     */
+    bool save(std::ostream &os, const std::string &key) const;
+
+    /**
+     * The matrix save() wrote under exactly `key`, with one profile
+     * per measurement of `suite`. Any other input (wrong key or
+     * profile count, a truncated stream, a malformed token, trailing
+     * data) yields nullopt, never a partial matrix.
+     */
+    static std::optional<OracleMatrix>
+    load(std::istream &is, const std::vector<workload::SpecBenchmark> &suite,
+         const OracleConfig &cfg, const std::string &key);
 
     std::size_t size() const { return n_; }
     const workload::SpecBenchmark &benchmark(std::size_t i) const
@@ -82,6 +136,13 @@ class OracleMatrix
     const OracleConfig &config() const { return cfg_; }
 
   private:
+    /** Tag for the constructor that sizes but does not measure. */
+    struct Unmeasured
+    {
+    };
+    OracleMatrix(const std::vector<workload::SpecBenchmark> &suite,
+                 const OracleConfig &cfg, Unmeasured);
+
     PairProfile measure(std::size_t i, std::size_t j,
                         bool idleSecond) const;
     /** Construct (but do not run) the System for one measurement. */

@@ -26,6 +26,8 @@ experimentRegistry()
     // the PDN analysis, the tech-node model, the full simulator stack
     // (fig12), a parallelMap sweep (fig15, so jobs-invariance is
     // exercised end-to-end), and the sliding-window scheduler (fig16).
+    // Fig 17-19 and Table I share one oracle pre-run, so one binary,
+    // oracle_study, emits all four Results.
     static const std::vector<ExperimentInfo> registry = {
         {"fig01_future_swings", true},
         {"fig02_margin_frequency", true},
@@ -42,10 +44,10 @@ experimentRegistry()
         {"fig14_noise_phases", false},
         {"fig15_stall_correlation", true},
         {"fig16_sliding_window", true},
-        {"fig17_coschedule_spread", false},
-        {"fig18_policy_scatter", false},
-        {"fig19_pass_increase", false},
-        {"table1_optimal_margins", false},
+        {"fig17_coschedule_spread", false, "oracle_study"},
+        {"fig18_policy_scatter", false, "oracle_study"},
+        {"fig19_pass_increase", false, "oracle_study"},
+        {"table1_optimal_margins", false, "oracle_study"},
         {"ablation_core_scaling", true},
         {"ablation_mitigations", false},
         {"ablation_noise_model", false},
@@ -57,13 +59,13 @@ experimentRegistry()
 
 namespace {
 
-bool
-knownExperiment(const std::string &name)
+const ExperimentInfo *
+findExperiment(const std::string &name)
 {
     for (const auto &e : experimentRegistry())
         if (name == e.name)
-            return true;
-    return false;
+            return &e;
+    return nullptr;
 }
 
 std::vector<std::string>
@@ -71,7 +73,7 @@ selectExperiments(const VerifyOptions &opt)
 {
     if (!opt.experiments.empty()) {
         for (const auto &name : opt.experiments)
-            if (!knownExperiment(name))
+            if (!findExperiment(name))
                 fatal("unknown experiment '%s' (see `vsmooth verify"
                       " --list`)",
                       name.c_str());
@@ -110,18 +112,19 @@ loadResult(const std::string &path, Result &out, Json *rawOut)
     return true;
 }
 
-/** Run one experiment binary with result emission to `resultPath`. */
+/** Run an experiment's binary with result emission into `workDir`. */
 bool
 runExperiment(const VerifyOptions &opt, const std::string &name,
-              const std::string &resultPath)
+              const std::string &workDir)
 {
-    const fs::path binary = fs::path(opt.benchDir) / name;
+    const fs::path binary =
+        fs::path(opt.benchDir) / findExperiment(name)->binaryName();
     if (!fs::exists(binary)) {
         std::cerr << "  missing binary '" << binary.string()
                   << "' (build the bench targets first)\n";
         return false;
     }
-    std::string cmd = "VSMOOTH_RESULT_FILE='" + resultPath + "'";
+    std::string cmd = "VSMOOTH_RESULT_DIR='" + workDir + "'";
     if (opt.jobs > 0)
         cmd += " VSMOOTH_JOBS=" + std::to_string(opt.jobs);
     cmd += " '" + binary.string() + "'";
@@ -188,13 +191,18 @@ runVerify(const VerifyOptions &opt)
 {
     const auto names = selectExperiments(opt);
 
-    std::string workDir = opt.workDir;
-    if (workDir.empty()) {
-        workDir = (fs::temp_directory_path() /
-                   ("vsmooth-verify-" + std::to_string(getpid())))
-                      .string();
-    }
+    // Without --work-dir, the work dir is this run's own scratch and
+    // goes when it ends; a given one is kept for inspection.
+    const bool ownWorkDir = opt.workDir.empty();
     std::error_code ec;
+    const std::string workDir = ownWorkDir
+        ? (fs::temp_directory_path(ec) /
+           ("vsmooth-verify-" + std::to_string(getpid())))
+              .string()
+        : opt.workDir;
+    if (ec)
+        fatal("no temp dir for the work dir (%s); pass --work-dir",
+              ec.message().c_str());
     fs::create_directories(workDir, ec);
     if (ec)
         fatal("cannot create work dir '%s': %s", workDir.c_str(),
@@ -208,7 +216,10 @@ runVerify(const VerifyOptions &opt)
         const std::string goldenPath =
             opt.goldenDir + "/" + name + ".json";
 
-        if (!runExperiment(opt, name, resultPath)) {
+        // A binary that exits 0 without emitting must not be scored
+        // against a Result left by an earlier run.
+        fs::remove(resultPath, ec);
+        if (!runExperiment(opt, name, workDir)) {
             std::cout << name << ": FAIL (run error)\n";
             ++failures;
             continue;
@@ -256,6 +267,8 @@ runVerify(const VerifyOptions &opt)
             ++failures;
         }
     }
+    if (ownWorkDir)
+        fs::remove_all(workDir, ec);
 
     if (opt.update) {
         std::cout << names.size() << " golden(s) written to "

@@ -2,8 +2,9 @@
  * @file
  * `vsmooth verify` — golden-result regression checking.
  *
- * Re-runs a subset of the experiment binaries with structured-result
- * emission enabled, parses the JSON each one writes, and diffs it
+ * Re-runs the binaries behind a subset of the experiments with
+ * structured-result emission enabled (VSMOOTH_RESULT_DIR), parses the
+ * JSON each experiment's Result lands in, and diffs it
  * against the checked-in golden under per-metric tolerances. Exits
  * nonzero naming every drifting metric, so a calibration or model
  * change can never silently alter a paper observable.
@@ -18,15 +19,20 @@
 
 namespace vsmooth::tools {
 
-/** One golden-checked experiment binary. */
+/** One golden-checked experiment. */
 struct ExperimentInfo
 {
     const char *name;
     /** In the default verify subset (seconds, not minutes, to run). */
     bool fast;
+    /** The bench binary that emits this experiment's Result, when it
+     *  is not named after the experiment. */
+    const char *binary = nullptr;
+
+    const char *binaryName() const { return binary ? binary : name; }
 };
 
-/** Every bench binary that emits a structured Result. */
+/** Every experiment whose bench binary emits a structured Result. */
 const std::vector<ExperimentInfo> &experimentRegistry();
 
 struct VerifyOptions
@@ -36,7 +42,8 @@ struct VerifyOptions
     /** Directory of golden <experiment>.json files. */
     std::string goldenDir = "bench/golden";
     /** Scratch directory for freshly produced results (defaults to a
-     *  per-process directory under the system temp dir). */
+     *  per-process directory under the system temp dir, removed when
+     *  verify exits; a given one is kept). */
     std::string workDir;
     /** Explicit experiment subset; empty means the fast default set
      *  (or everything with `all`). */

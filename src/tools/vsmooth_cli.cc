@@ -381,9 +381,10 @@ cmdVerify(int argc, char **argv)
             opt.jobs = v;
         } else if (arg == "--list") {
             TextTable t("registered experiments");
-            t.setHeader({"experiment", "default subset"});
+            t.setHeader({"experiment", "binary", "default subset"});
             for (const auto &e : tools::experimentRegistry())
-                t.addRow({e.name, e.fast ? "yes" : "no (--all)"});
+                t.addRow({e.name, e.binaryName(),
+                          e.fast ? "yes" : "no (--all)"});
             t.print(std::cout);
             return 0;
         } else {

@@ -34,11 +34,13 @@ struct CliResult
     std::string output; // stdout + stderr interleaved
 };
 
+/** Run the CLI with `args`; `env` is an optional `NAME=value ...`
+ *  prefix for its environment. */
 CliResult
-runCli(const std::string &args)
+runCli(const std::string &args, const std::string &env = "")
 {
     const std::string cmd =
-        std::string(VSMOOTH_CLI_PATH) + " " + args + " 2>&1";
+        env + " " + std::string(VSMOOTH_CLI_PATH) + " " + args + " 2>&1";
     FILE *pipe = popen(cmd.c_str(), "r");
     EXPECT_NE(pipe, nullptr) << cmd;
     CliResult r;
@@ -63,17 +65,27 @@ scratchDir(const std::string &name)
     return dir;
 }
 
+/** A minimal valid Result for experiment `name`. */
+std::string
+fakeResult(const std::string &name)
+{
+    return "{\"experiment\": \"" + name + "\", \"metrics\": {\"m\": 1}}";
+}
+
 /** Create an executable fake experiment "binary" that emits a minimal
- *  valid Result to $VSMOOTH_RESULT_FILE. */
+ *  valid Result into $VSMOOTH_RESULT_DIR, or, with `emits` false,
+ *  exits 0 without emitting anything. */
 void
-writeFakeExperiment(const fs::path &benchDir, const std::string &name)
+writeFakeExperiment(const fs::path &benchDir, const std::string &name,
+                    bool emits = true)
 {
     const fs::path script = benchDir / name;
     {
         std::ofstream os(script);
-        os << "#!/bin/sh\n"
-           << "printf '{\"experiment\": \"" << name
-           << "\", \"metrics\": {\"m\": 1}}' > \"$VSMOOTH_RESULT_FILE\"\n";
+        os << "#!/bin/sh\n";
+        if (emits)
+            os << "printf '" << fakeResult(name)
+               << "' > \"$VSMOOTH_RESULT_DIR/" << name << ".json\"\n";
     }
     fs::permissions(script, fs::perms::owner_all);
 }
@@ -225,6 +237,45 @@ TEST(CliErrors, VerifyUpdateReplacesGoldenAtomically)
     // No .tmp.<pid> debris left behind.
     EXPECT_EQ(filesIn(golden),
               std::vector<std::string>{"fig01_future_swings.json"});
+}
+
+TEST(CliErrors, VerifySilentBinaryIsBadResultFile)
+{
+    // A binary that exits 0 without emitting must fail, even with a
+    // matching Result from an earlier run left in the work dir.
+    const auto bench = scratchDir("verify_silent_bench");
+    const auto golden = scratchDir("verify_silent_golden");
+    const auto work = scratchDir("verify_silent_work");
+    writeFakeExperiment(bench, "fig01_future_swings", /*emits=*/false);
+    std::ofstream(golden / "fig01_future_swings.json")
+        << fakeResult("fig01_future_swings");
+    std::ofstream(work / "fig01_future_swings.json")
+        << fakeResult("fig01_future_swings");
+    const auto r = runCli("verify --bench-dir " + bench.string() +
+                          " --golden-dir " + golden.string() +
+                          " --work-dir " + work.string() +
+                          " --experiments fig01_future_swings");
+    EXPECT_EQ(r.exitCode, 1) << r.output;
+    EXPECT_NE(r.output.find("FAIL (bad result file)"), std::string::npos)
+        << r.output;
+    // A given work dir is kept.
+    EXPECT_TRUE(fs::is_directory(work));
+}
+
+TEST(CliErrors, VerifyRemovesItsOwnWorkDir)
+{
+    const auto bench = scratchDir("verify_cleanup_bench");
+    const auto golden = scratchDir("verify_cleanup_golden");
+    const auto tmp = scratchDir("verify_cleanup_tmp");
+    writeFakeExperiment(bench, "fig01_future_swings");
+    std::ofstream(golden / "fig01_future_swings.json")
+        << fakeResult("fig01_future_swings");
+    const auto r = runCli("verify --bench-dir " + bench.string() +
+                              " --golden-dir " + golden.string() +
+                              " --experiments fig01_future_swings",
+                          "TMPDIR=" + tmp.string());
+    EXPECT_EQ(r.exitCode, 0) << r.output;
+    EXPECT_EQ(filesIn(tmp), std::vector<std::string>{});
 }
 
 TEST(CliErrors, FuzzUnknownProperty)

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include "sched/oracle_matrix.hh"
 #include "sched/pass_analysis.hh"
 #include "sched/policy.hh"
@@ -10,21 +15,36 @@
 using namespace vsmooth;
 using namespace vsmooth::sched;
 
+namespace fs = std::filesystem;
+
 namespace {
 
-/** Small 6-benchmark matrix so the tests run fast. */
+/** Small 6-benchmark suite so the tests run fast. */
+const std::vector<workload::SpecBenchmark> &
+smallSuite()
+{
+    static const auto suite = [] {
+        std::vector<workload::SpecBenchmark> s;
+        for (const char *name :
+             {"hmmer", "povray", "gamess", "sphinx", "mcf", "lbm"})
+            s.push_back(workload::specByName(name));
+        return s;
+    }();
+    return suite;
+}
+
+OracleConfig
+smallConfig()
+{
+    OracleConfig cfg;
+    cfg.cyclesPerPair = 120'000;
+    return cfg;
+}
+
 const OracleMatrix &
 smallMatrix()
 {
-    static const OracleMatrix matrix = [] {
-        std::vector<workload::SpecBenchmark> suite;
-        for (const char *name :
-             {"hmmer", "povray", "gamess", "sphinx", "mcf", "lbm"})
-            suite.push_back(workload::specByName(name));
-        OracleConfig cfg;
-        cfg.cyclesPerPair = 120'000;
-        return OracleMatrix(suite, cfg);
-    }();
+    static const OracleMatrix matrix(smallSuite(), smallConfig());
     return matrix;
 }
 
@@ -68,6 +88,175 @@ TEST(OracleMatrix, NoisyPairsDroopMore)
     const auto &m = smallMatrix();
     // hmmer (low stall) self-pair vs mcf+sphinx (heavy).
     EXPECT_LT(m.pair(0, 0).droopsPer1k, m.pair(3, 4).droopsPer1k);
+}
+
+namespace {
+
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+void
+expectSameProfile(const PairProfile &a, const PairProfile &b)
+{
+    EXPECT_EQ(bits(a.droopsPer1k), bits(b.droopsPer1k));
+    EXPECT_EQ(bits(a.ipc), bits(b.ipc));
+    EXPECT_EQ(a.emergencies.cycles, b.emergencies.cycles);
+    EXPECT_EQ(a.emergencies.counts, b.emergencies.counts);
+    ASSERT_EQ(a.emergencies.margins.size(), b.emergencies.margins.size());
+    for (std::size_t k = 0; k < a.emergencies.margins.size(); ++k)
+        EXPECT_EQ(bits(a.emergencies.margins[k]),
+                  bits(b.emergencies.margins[k]));
+}
+
+/** Every profile identical, doubles compared by bit pattern. */
+void
+expectSameMatrix(const OracleMatrix &a, const OracleMatrix &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        expectSameProfile(a.single(i), b.single(i));
+        expectSameProfile(a.specRate(i), b.specRate(i));
+        for (std::size_t j = 0; j < a.size(); ++j)
+            expectSameProfile(a.pair(i, j), b.pair(i, j));
+    }
+}
+
+std::string
+saved(const OracleMatrix &m, const std::string &key)
+{
+    std::ostringstream os;
+    EXPECT_TRUE(m.save(os, key));
+    return os.str();
+}
+
+std::string
+slurp(const fs::path &p)
+{
+    std::ifstream in(p, std::ios::binary);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+/** Path of the cache file in a fresh, not yet created directory. */
+fs::path
+cacheFile(const std::string &name)
+{
+    const fs::path dir =
+        fs::path(::testing::TempDir()) / ("vsmooth_oracle_cache_" + name);
+    if (fs::exists(dir))
+        fs::permissions(dir, fs::perms::owner_all);
+    fs::remove_all(dir);
+    return dir / "matrix";
+}
+
+} // namespace
+
+TEST(OracleMatrixCache, SaveLoadIsBitExact)
+{
+    const auto &m = smallMatrix();
+    std::istringstream in(saved(m, "key 1"));
+    const auto loaded =
+        OracleMatrix::load(in, smallSuite(), smallConfig(), "key 1");
+    ASSERT_TRUE(loaded.has_value());
+    expectSameMatrix(m, *loaded);
+    EXPECT_EQ(saved(*loaded, "key 1"), saved(m, "key 1"));
+}
+
+TEST(OracleMatrixCache, MissWritesThenHitReads)
+{
+    const fs::path file = cacheFile("miss_hit");
+    CacheOutcome outcome = CacheOutcome::Unusable;
+    const auto built = OracleMatrix::cached(smallSuite(), smallConfig(),
+                                            file, "k", &outcome);
+    EXPECT_EQ(outcome, CacheOutcome::Miss);
+    expectSameMatrix(smallMatrix(), built);
+    EXPECT_EQ(fs::status(file.parent_path()).permissions() &
+                  (fs::perms::group_all | fs::perms::others_all),
+              fs::perms::none);
+    EXPECT_EQ(slurp(file), saved(smallMatrix(), "k"));
+
+    const auto hit = OracleMatrix::cached(smallSuite(), smallConfig(),
+                                          file, "k", &outcome);
+    EXPECT_EQ(outcome, CacheOutcome::Hit);
+    expectSameMatrix(smallMatrix(), hit);
+}
+
+TEST(OracleMatrixCache, DamagedOrForeignFileRebuildsAndOverwrites)
+{
+    const std::string good = saved(smallMatrix(), "k");
+    // A different suite size: 2 singles + 3 pairs, not 6 + 21.
+    OracleConfig tinyCfg;
+    tinyCfg.cyclesPerPair = 20'000;
+    const OracleMatrix tiny(
+        {workload::specByName("mcf"), workload::specByName("lbm")},
+        tinyCfg);
+    // The first profile line follows the format, key, header and
+    // margins lines.
+    std::size_t firstProfile = 0;
+    for (int line = 0; line < 4; ++line)
+        firstProfile = good.find('\n', firstProfile) + 1;
+    std::string nonNumeric = good;
+    nonNumeric.insert(firstProfile, "zz");
+
+    const std::vector<std::pair<const char *, std::string>> bad = {
+        {"truncated", good.substr(0, good.size() / 2)},
+        {"no end marker", good.substr(0, good.size() - 4)},
+        {"different key", saved(smallMatrix(), "other")},
+        {"wrong profile count", saved(tiny, "k")},
+        {"non-numeric token", nonNumeric},
+    };
+    const fs::path file = cacheFile("damaged");
+    for (const auto &[what, text] : bad) {
+        SCOPED_TRACE(what);
+        fs::create_directories(file.parent_path());
+        fs::permissions(file.parent_path(), fs::perms::owner_all);
+        std::ofstream(file, std::ios::binary) << text;
+        CacheOutcome outcome = CacheOutcome::Hit;
+        const auto m = OracleMatrix::cached(smallSuite(), smallConfig(),
+                                            file, "k", &outcome);
+        EXPECT_EQ(outcome, CacheOutcome::Miss);
+        expectSameMatrix(smallMatrix(), m);
+        EXPECT_EQ(slurp(file), good);
+    }
+}
+
+TEST(OracleMatrixCache, UnsafeOrUnwritableDirectoryIsNotUsed)
+{
+    const std::string foreign = saved(smallMatrix(), "other");
+    const std::vector<std::pair<const char *, fs::perms>> modes = {
+        {"group-writable", fs::perms::owner_all | fs::perms::group_write},
+        {"other-writable", fs::perms::owner_all | fs::perms::others_write},
+        {"unwritable", fs::perms::owner_read | fs::perms::owner_exec},
+    };
+    for (const auto &[what, mode] : modes) {
+        SCOPED_TRACE(what);
+        const fs::path file = cacheFile(std::string("unsafe_") + what);
+        fs::create_directories(file.parent_path());
+        std::ofstream(file, std::ios::binary) << foreign;
+        fs::permissions(file.parent_path(), mode);
+        CacheOutcome outcome = CacheOutcome::Hit;
+        const auto m = OracleMatrix::cached(smallSuite(), smallConfig(),
+                                            file, "k", &outcome);
+        EXPECT_EQ(outcome, CacheOutcome::Unusable);
+        expectSameMatrix(smallMatrix(), m);
+        // Neither read as a hit nor overwritten.
+        EXPECT_EQ(slurp(file), foreign);
+        fs::permissions(file.parent_path(), fs::perms::owner_all);
+    }
+
+    // A directory that cannot be created is no error either.
+    CacheOutcome outcome = CacheOutcome::Hit;
+    const fs::path blocked = cacheFile("blocked");
+    fs::create_directories(blocked.parent_path());
+    std::ofstream(blocked) << "a file, not a directory";
+    const auto m = OracleMatrix::cached(smallSuite(), smallConfig(),
+                                        blocked / "matrix", "k", &outcome);
+    EXPECT_EQ(outcome, CacheOutcome::Unusable);
+    expectSameMatrix(smallMatrix(), m);
 }
 
 TEST(Policy, NamesStable)
