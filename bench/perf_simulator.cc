@@ -231,7 +231,7 @@ BM_DspLaneStep(benchmark::State &state)
                             static_cast<std::int64_t>(kLanes) *
                             kDspBlock);
 }
-BENCHMARK(BM_DspLaneStep)->Arg(8)->Arg(16);
+BENCHMARK(BM_DspLaneStep)->Arg(8);
 
 void
 BM_FastCoreTick(benchmark::State &state)
@@ -380,8 +380,7 @@ BENCHMARK(BM_OracleMatrixBuild8)
  * scenario-lane engine. Arg = lane width (1 = degenerate single-lane
  * groups, i.e. the pre-lane execution path); items are simulated
  * cycles, and the Arg(1) vs widest-lane ratio is the SIMD speedup
- * BENCH_pr5.json records (Arg(16) runs the AVX-512 backend where the
- * host supports it, BENCH_pr10.json's headline row).
+ * tools/bench.sh reports.
  */
 void
 BM_PopulationLaned(benchmark::State &state)
@@ -410,7 +409,7 @@ BM_PopulationLaned(benchmark::State &state)
     setJobs(0);
 }
 BENCHMARK(BM_PopulationLaned)
-    ->Arg(1)->Arg(4)->Arg(8)->Arg(16)
+    ->Arg(1)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -439,7 +438,7 @@ BM_OracleMatrixLaned(benchmark::State &state)
     setJobs(0);
 }
 BENCHMARK(BM_OracleMatrixLaned)
-    ->Arg(1)->Arg(4)->Arg(8)->Arg(16)
+    ->Arg(1)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

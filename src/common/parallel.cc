@@ -7,6 +7,9 @@
 #include <mutex>
 #include <thread>
 
+#include "argparse.hh"
+#include "logging.hh"
+
 namespace vsmooth {
 
 namespace {
@@ -19,11 +22,13 @@ thread_local bool tl_inPool = false;
 std::size_t
 defaultJobs()
 {
-    if (const char *env = std::getenv("VSMOOTH_JOBS")) {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 1)
-            return static_cast<std::size_t>(v);
+    // Accepts exactly what --jobs does; empty means unset.
+    if (const char *env = std::getenv("VSMOOTH_JOBS"); env && *env) {
+        const auto v = tryParseU64(env);
+        if (!v || *v < 1)
+            fatal("VSMOOTH_JOBS=%s is invalid; it must be a positive "
+                  "integer", env);
+        return static_cast<std::size_t>(*v);
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<std::size_t>(hw);

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <mutex>
 
+#include "argparse.hh"
 #include "logging.hh"
 #include "simd_kernels.hh"
 
@@ -15,9 +16,7 @@ levelName(IsaLevel level)
 {
     switch (level) {
       case IsaLevel::Scalar: return "scalar";
-      case IsaLevel::Sse2: return "sse2";
       case IsaLevel::Avx2: return "avx2";
-      case IsaLevel::Avx512: return "avx512";
     }
     return "scalar";
 }
@@ -26,19 +25,10 @@ IsaLevel
 detectHostLevel()
 {
 #if defined(__x86_64__) || defined(_M_X64)
-    // The AVX-512 TU is built with -mavx512f -mavx512dq (DQ supplies
-    // the 64-bit integer min/extract forms binIndex uses), so both
-    // feature bits gate the level.
-    if (__builtin_cpu_supports("avx512f") &&
-        __builtin_cpu_supports("avx512dq"))
-        return IsaLevel::Avx512;
     if (__builtin_cpu_supports("avx2"))
         return IsaLevel::Avx2;
-    // SSE2 is architectural on x86-64.
-    return IsaLevel::Sse2;
-#else
-    return IsaLevel::Scalar;
 #endif
+    return IsaLevel::Scalar;
 }
 
 namespace {
@@ -50,23 +40,16 @@ laneWidthFor(IsaLevel level)
 {
     const char *env = std::getenv("VSMOOTH_LANES");
     if (env && *env) {
-        char *end = nullptr;
-        const long lanes = std::strtol(env, &end, 10);
-        if (!end || *end != '\0' || lanes < 1 ||
-            lanes > static_cast<long>(kMaxLanes)) {
+        const auto lanes = tryParseU64(env);
+        if (!lanes || *lanes < 1 || *lanes > kMaxLanes) {
             fatal("VSMOOTH_LANES=%s is invalid; it must be an integer "
                   "in [1, %zu]", env, kMaxLanes);
         }
-        return static_cast<std::size_t>(lanes);
+        return static_cast<std::size_t>(*lanes);
     }
-    // Two vectors in flight at the wide levels (16 for AVX-512, 8
-    // for AVX2), one SSE2 vector pair; the scalar kernel still
-    // interleaves 4 dependency chains for ILP.
-    switch (level) {
-      case IsaLevel::Avx512: return 16;
-      case IsaLevel::Avx2: return 8;
-      default: return 4;
-    }
+    // Two AVX2 vectors in flight; the scalar kernel still interleaves
+    // 4 dependency chains for ILP.
+    return level == IsaLevel::Avx2 ? 8 : 4;
 }
 
 IsaLevel
@@ -83,15 +66,11 @@ resolveFromEnvironment()
     IsaLevel wanted;
     if (std::strcmp(env, "scalar") == 0) {
         wanted = IsaLevel::Scalar;
-    } else if (std::strcmp(env, "sse2") == 0) {
-        wanted = IsaLevel::Sse2;
     } else if (std::strcmp(env, "avx2") == 0) {
         wanted = IsaLevel::Avx2;
-    } else if (std::strcmp(env, "avx512") == 0) {
-        wanted = IsaLevel::Avx512;
     } else {
         fatal("VSMOOTH_SIMD=%s is not recognised; it must be one of "
-              "scalar, sse2, avx2, avx512", env);
+              "scalar, avx2", env);
     }
     if (static_cast<int>(wanted) > static_cast<int>(host)) {
         fatal("VSMOOTH_SIMD=%s requests a level this host lacks "
@@ -136,9 +115,7 @@ vectorWidth(IsaLevel level)
 {
     switch (level) {
       case IsaLevel::Scalar: return 1;
-      case IsaLevel::Sse2: return 2;
       case IsaLevel::Avx2: return 4;
-      case IsaLevel::Avx512: return 8;
     }
     return 1;
 }
@@ -161,9 +138,7 @@ kernelsFor(IsaLevel level)
 {
     switch (level) {
       case IsaLevel::Scalar: return kScalarKernels;
-      case IsaLevel::Sse2: return kSse2Kernels;
       case IsaLevel::Avx2: return kAvx2Kernels;
-      case IsaLevel::Avx512: return kAvx512Kernels;
     }
     return kScalarKernels;
 }

@@ -12,14 +12,14 @@
  * are elementwise, no FMA contraction is ever enabled), so per-lane
  * results are bit-identical to a solo run at any lane width.
  *
- * Dispatch picks the widest level the host supports at startup;
- * VSMOOTH_SIMD=scalar|sse2|avx2|avx512 overrides it (unknown values
+ * Dispatch picks AVX2 when the host supports it, else the scalar
+ * reference; VSMOOTH_SIMD=scalar|avx2 overrides it (unknown values
  * are fatal, listing the accepted set), and setActiveLevel() is the
  * equivalent test hook.
  *
- * This header is included from translation units compiled with -mavx2
- * and -mavx512f: keep it free of inline function bodies and
- * intrinsics so no AVX-encoded comdat can leak into baseline objects.
+ * This header is included from the translation unit compiled with
+ * -mavx2: keep it free of inline function bodies and intrinsics so no
+ * AVX-encoded comdat can leak into baseline objects.
  */
 
 #ifndef VSMOOTH_COMMON_SIMD_HH
@@ -35,15 +35,13 @@ namespace vsmooth::simd {
 enum class IsaLevel : int
 {
     Scalar = 0,
-    Sse2 = 1,
-    Avx2 = 2,
-    Avx512 = 3,
+    Avx2 = 1,
 };
 
 /** Lowercase name, as accepted by VSMOOTH_SIMD. */
 const char *levelName(IsaLevel level);
 
-/** Widest level the host CPU supports. */
+/** Avx2 when the host CPU supports it, else Scalar. */
 IsaLevel detectHostLevel();
 
 /**
@@ -57,23 +55,22 @@ IsaLevel activeLevel();
 /** Test hook: force a level (must not exceed the host's). */
 void setActiveLevel(IsaLevel level);
 
-/** Doubles per vector register at a level (1 / 2 / 4 / 8). */
+/** Doubles per vector register at a level (1 / 4). */
 std::size_t vectorWidth(IsaLevel level);
 
 /**
- * Default scenario-lane count for LaneGroup: two vectors in flight at
- * the active level (16 for AVX-512, 8 for AVX2, 4 for SSE2), and 4
- * for scalar — the interleaved scalar chains still overlap in the
- * out-of-order window. VSMOOTH_LANES=1..16 overrides (fatal outside
- * that range).
+ * Default scenario-lane count for LaneGroup: two vectors in flight
+ * (8) for AVX2, and 4 for scalar — the interleaved scalar chains
+ * still overlap in the out-of-order window. VSMOOTH_LANES=1..8
+ * overrides (fatal outside that range).
  */
 std::size_t defaultLaneWidth();
 
-/** Compact stamp for Result metadata, e.g. "avx512x16". */
+/** Compact stamp for Result metadata, e.g. "avx2x8". */
 std::string description();
 
 /** Hard bounds the kernel argument blocks are sized for. */
-inline constexpr std::size_t kMaxLanes = 16;
+inline constexpr std::size_t kMaxLanes = 8;
 inline constexpr std::size_t kMaxLaneCores = 8;
 
 /**
@@ -155,7 +152,7 @@ using BinIndexFn = void (*)(const double *xs, std::size_t n, double lo,
 /**
  * Kernels for one level. Null members mean "no kernel at this level";
  * callers fall back to their built-in path (for steady/binIndex the
- * baseline code is already the scalar/SSE2 reference, so only AVX2
+ * baseline code is already the scalar reference, so only AVX2
  * registers wider versions).
  */
 struct KernelSet

@@ -2,8 +2,8 @@
  * @file
  * AVX2 (width-4) instantiation of the lane-step kernel, plus the two
  * wider helper kernels (steady-current conversion and histogram bin
- * classification) that only pay off at 256-bit width — at scalar/SSE2
- * the built-in code paths are already the reference implementations.
+ * classification) — at scalar the built-in code paths are already the
+ * reference implementations.
  *
  * This is the only translation unit compiled with -mavx2; everything
  * here must stay intrinsics-only (no inline functions from shared
@@ -26,8 +26,6 @@ namespace {
 struct VecAvx2
 {
     static constexpr std::size_t width = 4;
-    /** Masks are all-ones/all-zeros vectors, fed to blendv. */
-    using Mask = VecAvx2;
 
     __m256d v;
 
@@ -136,9 +134,9 @@ laneStepAvx2(LaneStepArgs &args)
 
 /**
  * CurrentModel::steadyBlock at 4-wide: the identical IEEE operations
- * in the identical order as the built-in 2-wide/scalar loops, so the
- * output bits match for every element regardless of which path (or
- * tail) produced it.
+ * in the identical order as the built-in scalar loop, so the output
+ * bits match for every element regardless of which path (or tail)
+ * produced it.
  */
 void
 steadyAvx2(double leak, double idleClk, double dynMax,

@@ -1,14 +1,12 @@
 /**
  * @file
- * The lane-step kernel, templated over a vector type V so the scalar,
- * SSE2, AVX2, and AVX-512 translation units instantiate identical
- * source. V supplies elementwise IEEE double operations only (no FMA,
- * no reductions), so each lane of the vector performs exactly the
- * scalar pipeline's operations in the same order — the whole
- * bit-identity argument rests on that (DESIGN.md "Scenario-lane
- * execution"). Comparisons produce V::Mask (the vector type itself up
- * to AVX2, a mask register wrapper on AVX-512) consumed only by
- * V::blend.
+ * The lane-step kernel, templated over a vector type V so the scalar
+ * and AVX2 translation units instantiate identical source. V supplies
+ * elementwise IEEE double operations only (no FMA, no reductions), so
+ * each lane of the vector performs exactly the scalar pipeline's
+ * operations in the same order — the whole bit-identity argument
+ * rests on that (DESIGN.md "Scenario-lane execution"). Comparisons
+ * produce all-ones/all-zeros V masks consumed only by V::blend.
  *
  * The per-cycle arithmetic itself lives in dsp/lane_kernels.hh — the
  * cross-lane forms of the same primitives the scalar hot paths
@@ -33,9 +31,7 @@ namespace vsmooth::simd {
 // Per-level kernel registries, defined one per translation unit (the
 // extern declarations give the const objects external linkage).
 extern const KernelSet kScalarKernels;
-extern const KernelSet kSse2Kernels;
 extern const KernelSet kAvx2Kernels;
-extern const KernelSet kAvx512Kernels;
 
 /**
  * n cycles of the fused per-cycle pipeline across all lanes:

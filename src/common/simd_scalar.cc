@@ -16,8 +16,6 @@ namespace {
 struct VecScalar
 {
     static constexpr std::size_t width = 1;
-    /** Masks are just vectors up to AVX2 (1.0 / 0.0 here). */
-    using Mask = VecScalar;
 
     double v;
 

@@ -2,26 +2,20 @@
  * @file
  * Cross-lane (K-wide column) forms of the dsp primitives, templated
  * over the vector type V the SIMD translation units supply (width-1
- * scalar, SSE2, AVX2, AVX-512). Each kernel is the blended —
- * branchless — counterpart of the matching sample kernel in
- * dsp/primitives.hh: conditional stages compute both sides and select
- * per lane, which yields the same result bits for finite inputs
- * (DESIGN.md §12 states the full equivalence argument per primitive).
- *
- * Comparison results are V::Mask, not V: through AVX2 a mask is just
- * another vector register (all-ones / all-zeros lanes fed to a
- * blendv), but AVX-512 comparisons return a k mask register, so the
- * lane kernels carry masks in whatever representation the level's
- * blend consumes. Masks are produced by gtMask/ltMask and consumed
+ * scalar, AVX2). Each kernel is the blended — branchless — counterpart
+ * of the matching sample kernel in dsp/primitives.hh: conditional
+ * stages compute both sides and select per lane, which yields the
+ * same result bits for finite inputs (DESIGN.md §12 states the full
+ * equivalence argument per primitive). Masks are V values
+ * (all-ones / all-zeros lanes) produced by gtMask/ltMask and consumed
  * only by blend — they never enter arithmetic.
  *
- * This header is included from translation units compiled with -mavx2
- * and -mavx512f (common/simd_avx2.cc, common/simd_avx512.cc): keep it
- * templates-only, with no intrinsics and no non-template inline
- * functions, so no AVX-encoded comdat can leak into baseline objects.
- * V supplies elementwise IEEE double operations only — no FMA, no
- * reductions — and instantiations with the TU-local V types have
- * internal linkage.
+ * This header is included from the translation unit compiled with
+ * -mavx2 (common/simd_avx2.cc): keep it templates-only, with no
+ * intrinsics and no non-template inline functions, so no AVX-encoded
+ * comdat can leak into baseline objects. V supplies elementwise IEEE
+ * double operations only — no FMA, no reductions — and
+ * instantiations with the TU-local V types have internal linkage.
  */
 
 #ifndef VSMOOTH_DSP_LANE_KERNELS_HH
@@ -41,9 +35,9 @@ namespace vsmooth::dsp {
 template <class V>
 struct LaneSmoothSlew
 {
-    typename V::Mask tauPos;  ///< per-lane mask: tau > 0
+    V tauPos;  ///< per-lane mask: tau > 0
     V alpha;
-    typename V::Mask slewPos; ///< per-lane mask: slew > 0
+    V slewPos; ///< per-lane mask: slew > 0
     V slew;
     V negSlew; ///< 0 - slew, precomputed
 

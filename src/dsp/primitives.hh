@@ -25,8 +25,8 @@
  *   - zero allocation: nothing here touches the heap, ever.
  *
  * Keep this header out of the -mavx2 translation unit
- * (common/simd_avx2.cc): the SSE2 block loop below is an inline
- * function, and an AVX-encoded comdat of it could leak into baseline
+ * (common/simd_avx2.cc): its inline functions would be emitted there
+ * with AVX encodings, and such a comdat could leak into baseline
  * objects. The cross-lane (V-templated) forms of these kernels live
  * in dsp/lane_kernels.hh, which is safe to include there.
  */
@@ -38,10 +38,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 
 namespace vsmooth::dsp {
 
@@ -366,14 +362,8 @@ struct LinearRamp
     }
 };
 
-/**
- * Elementwise activity-to-steady-current map over a block (stateless,
- * so the lanes vectorize). The SSE2 body spells the clamp out as
- * packed min/max: each SIMD lane performs the same IEEE operations in
- * the same order as the scalar tail (finite activities, so the
- * min/max NaN-operand convention never engages, and clamping -0.0 to
- * +0.0 is absorbed bit-exactly by the additions).
- */
+/** Elementwise activity-to-steady-current map over a block
+ *  (stateless). */
 struct ActivityMap
 {
     double leak;
@@ -385,38 +375,11 @@ struct ActivityMap
         return activityToCurrentSample(activity, leak, idleClk, dynMax);
     }
 
-    void processBlock(const double *activity, double *out,
-                      std::size_t n) const
+    constexpr void processBlock(const double *activity, double *out,
+                                std::size_t n) const
     {
-        std::size_t j = 0;
-#if defined(__SSE2__)
-        const __m128d vZero = _mm_setzero_pd();
-        const __m128d vCeil = _mm_set1_pd(2.5);
-        const __m128d vOne = _mm_set1_pd(1.0);
-        const __m128d vQuarter = _mm_set1_pd(0.25);
-        const __m128d vThreeQ = _mm_set1_pd(0.75);
-        const __m128d vLeak = _mm_set1_pd(leak);
-        const __m128d vIdle = _mm_set1_pd(idleClk);
-        const __m128d vDyn = _mm_set1_pd(dynMax);
-        for (; j + 2 <= n; j += 2) {
-            __m128d a = _mm_loadu_pd(activity + j);
-            a = _mm_min_pd(_mm_max_pd(a, vZero), vCeil);
-            const __m128d w = _mm_min_pd(a, vOne);
-            const __m128d clock = _mm_mul_pd(
-                vIdle, _mm_add_pd(vQuarter, _mm_mul_pd(vThreeQ, w)));
-            const __m128d s = _mm_add_pd(_mm_add_pd(vLeak, clock),
-                                         _mm_mul_pd(vDyn, a));
-            _mm_storeu_pd(out + j, s);
-        }
-#endif
-        for (; j < n; ++j) {
-            double a = activity[j];
-            a = a < 0.0 ? 0.0 : a;
-            a = 2.5 < a ? 2.5 : a;
-            const double w = 1.0 < a ? 1.0 : a;
-            const double clock = idleClk * (0.25 + 0.75 * w);
-            out[j] = leak + clock + dynMax * a;
-        }
+        for (std::size_t j = 0; j < n; ++j)
+            out[j] = sample(activity[j]);
     }
 };
 

@@ -55,9 +55,8 @@ CurrentModel::steadyBlock(const double *activity, double *steady,
     const double idleClk = params_.idleClock.value();
     const double dynMax = params_.dynamicMax.value();
     // The AVX2 build registers a 4-wide version of exactly this
-    // arithmetic (same operations, same order); levels below that
-    // fall through to the dsp map's built-in SSE2/scalar loops, which
-    // already are the reference.
+    // arithmetic (same operations, same order); the scalar level
+    // falls through to the dsp map's plain loop, the reference.
     if (const simd::SteadyFn kernel = simd::kernels().steady) {
         kernel(leak, idleClk, dynMax, activity, steady, n);
         return;

@@ -1,34 +1,11 @@
 #include "lane_group.hh"
 
 #include <algorithm>
-#include <cstdint>
 
 #include "common/logging.hh"
 #include "common/simd.hh"
 
 namespace vsmooth::sim {
-
-namespace {
-
-/**
- * 64-byte-aligned view over a grow-only backing vector: keep 7 spare
- * doubles and round the base address up to the next cache line. The
- * backing store only ever grows (and the warm steady state never
- * resizes), so this preserves the zero-allocation drain guarantee the
- * alloc audit enforces while letting every lane column start on a
- * 64-byte boundary.
- */
-double *
-alignedGrow(std::vector<double> &raw, std::size_t n)
-{
-    if (raw.size() < n + 7)
-        raw.resize(n + 7);
-    const auto addr = reinterpret_cast<std::uintptr_t>(raw.data());
-    return reinterpret_cast<double *>((addr + 63) &
-                                      ~std::uintptr_t{63});
-}
-
-} // namespace
 
 LaneGroup::LaneGroup(std::size_t width)
     : width_(width == 0 ? simd::defaultLaneWidth() : width)
@@ -216,16 +193,16 @@ LaneGroup::stepFused(Lane *const *lanes, std::size_t count, Cycles n)
     const std::size_t nCores = lanes[0]->sys->cores_.size();
     const std::size_t vecW = simd::vectorWidth(simd::activeLevel());
     const std::size_t stride = ((count + vecW - 1) / vecW) * vecW;
-    // Columns are padded to a whole number of cache lines so every
-    // column starts 64-byte aligned (the AVX-512 transpose loads then
-    // never split a cache line); the pad tail is never read or
-    // written.
-    const std::size_t colElems = (nn + 7) & ~std::size_t{7};
-
-    double *const steadyBase =
-        alignedGrow(steadyL_, nCores * stride * colElems);
-    double *const totalBase = alignedGrow(totalL_, stride * colElems);
-    double *const devBase = alignedGrow(devL_, stride * colElems);
+    // Grow-only: a warm drain never resizes, so it never allocates.
+    if (steadyL_.size() < nCores * stride * nn)
+        steadyL_.resize(nCores * stride * nn);
+    if (totalL_.size() < stride * nn)
+        totalL_.resize(stride * nn);
+    if (devL_.size() < stride * nn)
+        devL_.resize(stride * nn);
+    double *const steadyBase = steadyL_.data();
+    double *const totalBase = totalL_.data();
+    double *const devBase = devL_.data();
 
     simd::LaneStepArgs args;
     args.n = nn;
@@ -241,10 +218,9 @@ LaneGroup::stepFused(Lane *const *lanes, std::size_t count, Cycles n)
     // outputs are never read back.
     for (std::size_t l = 0; l < stride; ++l) {
         for (std::size_t c = 0; c < nCores; ++c)
-            args.steady[c][l] =
-                steadyBase + (c * stride + l) * colElems;
-        args.total[l] = totalBase + l * colElems;
-        args.deviation[l] = devBase + l * colElems;
+            args.steady[c][l] = steadyBase + (c * stride + l) * nn;
+        args.total[l] = totalBase + l * nn;
+        args.deviation[l] = devBase + l * nn;
     }
 
     // Gather: each lane's cores write their activity block straight
@@ -254,8 +230,7 @@ LaneGroup::stepFused(Lane *const *lanes, std::size_t count, Cycles n)
     for (std::size_t l = 0; l < count; ++l) {
         System &sys = *lanes[l]->sys;
         for (std::size_t c = 0; c < nCores; ++c) {
-            double *const col =
-                steadyBase + (c * stride + l) * colElems;
+            double *const col = steadyBase + (c * stride + l) * nn;
             sys.cores_[c]->tickBlock(col, nn);
             sys.currents_[c].steadyBlock(col, col, nn);
         }

@@ -103,11 +103,9 @@ class LaneGroup
      *  never reallocates (capacity is width_ after the first run). */
     std::vector<Lane> lanes_;
     // stepFused scratch, reused across blocks: per-lane contiguous
-    // streams (lane l of core c at column (c*stride + l), columns
-    // padded to whole cache lines and the base rounded up so every
-    // column starts 64-byte aligned), assembled into vectors by the
-    // kernel's register gather/scatter. Grow-only, so warm drains
-    // never allocate.
+    // streams (lane l of core c at column (c*stride + l)), assembled
+    // into vectors by the kernel's register gather/scatter.
+    // Grow-only, so warm drains never allocate.
     std::vector<double> steadyL_;
     std::vector<double> totalL_;
     std::vector<double> devL_;

@@ -307,8 +307,6 @@ runFuzz(const FuzzOptions &opt)
 
     for (std::uint64_t iter = 0; iter < opt.iters; ++iter) {
         FuzzConfig config = gen(rng);
-        if (opt.forceLanes != 0)
-            config.laneWidth = opt.forceLanes;
         const std::string label = "iter " + std::to_string(iter);
         bool ok = true;
         for (std::size_t i = 0; i < props.size(); ++i) {

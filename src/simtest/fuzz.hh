@@ -42,9 +42,6 @@ struct FuzzOptions
     /** Optional per-property pass/iteration summary (JSON artifact;
      *  byte-identical across same-seed runs). */
     std::string summaryFile;
-    /** Force every generated config's laneWidth (0 = keep the drawn
-     *  value) — CI's dedicated widest-lane passes pin 16 here. */
-    std::uint32_t forceLanes = 0;
     bool listProperties = false;
     bool verbose = false;
 };

@@ -121,11 +121,8 @@ FuzzConfig::valid(std::string *why) const
     if (laneWidth > simd::kMaxLanes)
         return fail("laneWidth outside [0, " +
                     std::to_string(simd::kMaxLanes) + "]");
-    if (simdLevel != "" && simdLevel != "scalar" &&
-        simdLevel != "sse2" && simdLevel != "avx2" &&
-        simdLevel != "avx512")
-        return fail("simdLevel must be one of \"\", scalar, sse2, "
-                    "avx2, avx512");
+    if (simdLevel != "" && simdLevel != "scalar" && simdLevel != "avx2")
+        return fail("simdLevel must be one of \"\", scalar, avx2");
     if (samplingWindow < 1 || samplingWindow > 64)
         return fail("samplingWindow outside [1, 64]");
     if (samplingStable < 1 || samplingStable > 16)
@@ -429,24 +426,18 @@ fuzzConfigGen()
         cfg.jobs = rng.uniformInt(1, 6);
 
         // Scenario-lane dimensions: half the draws keep the
-        // seed-derived width, the rest pin 1..kMaxLanes so the
-        // 9..16-lane repack and retirement paths see direct traffic.
-        // SIMD level candidates are host-gated (generation must never
-        // draw a config that is fatal to check here); "" — the
-        // ambient active level — keeps most weight.
+        // seed-derived width, the rest pin 1..kMaxLanes. SIMD level
+        // candidates are host-gated (generation must never draw a
+        // config that is fatal to check here); "" — the ambient
+        // active level — keeps most weight.
         cfg.laneWidth = rng.bernoulli(0.5)
             ? 0
             : static_cast<std::uint32_t>(
                   rng.uniformInt(1, simd::kMaxLanes));
         {
             std::vector<std::string> levels{"", "", "", "scalar"};
-            const auto host = static_cast<int>(simd::detectHostLevel());
-            if (host >= static_cast<int>(simd::IsaLevel::Sse2))
-                levels.push_back("sse2");
-            if (host >= static_cast<int>(simd::IsaLevel::Avx2))
+            if (simd::detectHostLevel() == simd::IsaLevel::Avx2)
                 levels.push_back("avx2");
-            if (host >= static_cast<int>(simd::IsaLevel::Avx512))
-                levels.push_back("avx512");
             cfg.simdLevel = elementGen<std::string>(levels)(rng);
         }
 

@@ -202,10 +202,10 @@ struct FuzzConfig
     /** Lane width for the laned property, 1..simd::kMaxLanes
      *  (0 = derive from the seed, the historical behaviour). */
     std::uint32_t laneWidth = 0;
-    /** SIMD level pinned while checking: "", "scalar", "sse2",
-     *  "avx2", or "avx512" ("" = the ambient active level). Clamped
-     *  to the host's maximum at check time, so repro files written on
-     *  a wide host still replay — at the narrower level — anywhere. */
+    /** SIMD level pinned while checking: "", "scalar", or "avx2"
+     *  ("" = the ambient active level). Clamped to the host's maximum
+     *  at check time, so repro files written on an AVX2 host still
+     *  replay — at the scalar level — anywhere. */
     std::string simdLevel;
 
     // --- Sampled execution (sampled_within_bounds) ----------------------

@@ -446,13 +446,9 @@ checkLanedVsScalar(const FuzzConfig &cfg, std::string *why)
         ~LevelGuard() { simd::setActiveLevel(prev); }
     } levelGuard;
     if (!cfg.simdLevel.empty()) {
-        simd::IsaLevel wanted = simd::IsaLevel::Scalar;
-        if (cfg.simdLevel == "sse2")
-            wanted = simd::IsaLevel::Sse2;
-        else if (cfg.simdLevel == "avx2")
-            wanted = simd::IsaLevel::Avx2;
-        else if (cfg.simdLevel == "avx512")
-            wanted = simd::IsaLevel::Avx512;
+        const simd::IsaLevel wanted = cfg.simdLevel == "avx2"
+            ? simd::IsaLevel::Avx2
+            : simd::IsaLevel::Scalar;
         const simd::IsaLevel host = simd::detectHostLevel();
         simd::setActiveLevel(
             static_cast<int>(wanted) <= static_cast<int>(host) ? wanted
@@ -1291,8 +1287,8 @@ propertyRegistry()
         {"laned_vs_scalar", "sim/sweep",
          "scenario-lane engine bit-identical to solo runs at any "
          "lane width and SIMD level",
-         "laneWidth 0 (seed-derived) or 1..16; simdLevel ambient or "
-         "host-clamped scalar/sse2/avx2/avx512",
+         "laneWidth 0 (seed-derived) or 1..8; simdLevel ambient or "
+         "host-clamped scalar/avx2",
          &checkLanedVsScalar},
         {"pdn_linearity", "pdn",
          "PDN superposition/scaling, exact DC gain, bounded step "

@@ -130,8 +130,7 @@ usage()
            "                --all --update --list --verbose\n"
            "fuzz options: --seed S --iters N --properties a,b,c"
            " --repro FILE\n"
-           "              --corpus DIR --repro-out F --summary FILE"
-           " --lanes K\n"
+           "              --corpus DIR --repro-out F --summary FILE\n"
            "              --list --verbose\n"
            "serve options: --socket PATH | --port N --workers N\n"
            "               --cache-bytes N --queue N --ready-file F\n"
@@ -431,12 +430,6 @@ cmdFuzz(int argc, char **argv)
             opt.reproOut = next();
         } else if (arg == "--summary") {
             opt.summaryFile = next();
-        } else if (arg == "--lanes") {
-            const std::uint64_t v = parseU64(next(), "--lanes");
-            if (v < 1 || v > simd::kMaxLanes) {
-                fatal("--lanes must be in [1, %zu]", simd::kMaxLanes);
-            }
-            opt.forceLanes = static_cast<std::uint32_t>(v);
         } else if (arg == "--list") {
             opt.listProperties = true;
         } else if (arg == "--verbose") {
@@ -556,11 +549,12 @@ main(int argc, char **argv)
 {
     if (argc < 2)
         usage();
-    // Resolve the SIMD dispatch level up front: a bad VSMOOTH_SIMD or
-    // VSMOOTH_LANES value fails before any work starts, and the
-    // selected kernel/lane-width report lands once at the top of the
-    // output instead of mid-run.
+    // Resolve the SIMD dispatch level and the job count up front: a
+    // bad VSMOOTH_SIMD, VSMOOTH_LANES or VSMOOTH_JOBS value fails
+    // before any work starts, and the selected kernel/lane-width
+    // report lands once at the top of the output instead of mid-run.
     simd::activeLevel();
+    numJobs();
     const std::string cmd = argv[1];
 
     if (cmd == "list")

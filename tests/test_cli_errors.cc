@@ -337,6 +337,15 @@ TEST(CliErrors, FuzzBadFlagValue)
     EXPECT_EQ(r.exitCode, 1);
     EXPECT_NE(r.output.find("bad value"), std::string::npos);
 
+    // VSMOOTH_JOBS accepts exactly what --jobs does.
+    for (const char *jobs : {"-1", "4x", "0"}) {
+        const auto bad =
+            runCli("fuzz --iters 1", std::string("VSMOOTH_JOBS=") + jobs);
+        EXPECT_EQ(bad.exitCode, 1) << jobs;
+        EXPECT_NE(bad.output.find("VSMOOTH_JOBS"), std::string::npos)
+            << bad.output;
+    }
+
     const auto r2 = runCli("fuzz --no-such-flag");
     EXPECT_EQ(r2.exitCode, 2);
     EXPECT_NE(r2.output.find("usage"), std::string::npos);

@@ -190,13 +190,8 @@ std::vector<simd::IsaLevel>
 hostLevels()
 {
     std::vector<simd::IsaLevel> levels{simd::IsaLevel::Scalar};
-    const int host = static_cast<int>(simd::detectHostLevel());
-    if (host >= static_cast<int>(simd::IsaLevel::Sse2))
-        levels.push_back(simd::IsaLevel::Sse2);
-    if (host >= static_cast<int>(simd::IsaLevel::Avx2))
+    if (simd::detectHostLevel() == simd::IsaLevel::Avx2)
         levels.push_back(simd::IsaLevel::Avx2);
-    if (host >= static_cast<int>(simd::IsaLevel::Avx512))
-        levels.push_back(simd::IsaLevel::Avx512);
     return levels;
 }
 
@@ -217,8 +212,7 @@ TEST(LaneGroup, AllWidthsAllLevelsBitIdentical)
     const auto scenarios = mixedPopulation();
     for (const simd::IsaLevel level : hostLevels()) {
         simd::setActiveLevel(level);
-        for (const std::size_t width : {1u, 2u, 3u, 4u, 5u, 8u, 11u,
-                                        16u}) {
+        for (const std::size_t width : {1u, 2u, 3u, 4u, 5u, 7u, 8u}) {
             SCOPED_TRACE(std::string("level ") +
                          simd::levelName(level));
             runDifferential(scenarios, width);
@@ -235,30 +229,10 @@ TEST(LaneGroup, PopulationNotDivisibleByWidth)
 
 TEST(LaneGroup, WidePopulationNotDivisibleBySixteen)
 {
-    // 21 plans through 16 lanes: one full 16-wide group and a final
+    // 21 plans through 8 lanes: two full 8-wide groups and a final
     // 5-lane partial one, so the widest configuration exercises both
-    // the fully-packed and the heavily-padded kernel columns.
-    runDifferential(mixedPopulation(21), 16);
-}
-
-TEST(LaneGroup, EarlyRetirementPastLaneEight)
-{
-    // 12 lanes of interleaved finite and looping schedules: finite
-    // lanes at indices beyond the old 8-lane ceiling retire at
-    // staggered cycles, so repacking shifts lanes 9..12 down through
-    // positions no 8-lane group could ever populate.
-    std::vector<Scenario> scenarios;
-    for (int i = 0; i < 14; ++i) {
-        Scenario sc;
-        sc.seed = 1'300 + 19ULL * static_cast<std::uint64_t>(i);
-        sc.loop = (i % 3 == 1);
-        sc.untilFinished = true;
-        sc.cycles = 40'000;
-        sc.padTo = (i % 4 == 0) ? 45'000 : 0;
-        sc.cfg.osTickInterval = 2'111;
-        scenarios.push_back(sc);
-    }
-    runDifferential(scenarios, 12);
+    // the fully-packed and the padded kernel columns.
+    runDifferential(mixedPopulation(21), 8);
 }
 
 TEST(LaneGroup, WidthOneDegeneratesToBlockedPath)
@@ -363,8 +337,6 @@ TEST(LaneGroup, DefaultWidthHonoursLanesEnv)
     EXPECT_EQ(LaneGroup().width(), 3u);
     ASSERT_EQ(setenv("VSMOOTH_LANES", "8", 1), 0);
     EXPECT_EQ(LaneGroup().width(), 8u);
-    ASSERT_EQ(setenv("VSMOOTH_LANES", "16", 1), 0);
-    EXPECT_EQ(LaneGroup().width(), 16u);
     ASSERT_EQ(unsetenv("VSMOOTH_LANES"), 0);
     EXPECT_GE(LaneGroup().width(), 4u);
 }
@@ -395,12 +367,14 @@ runCli(const std::string &env, const std::string &args)
 
 TEST(SimdOverride, UnknownLevelIsFatalAndListsAccepted)
 {
-    const CliResult r =
-        runCli("VSMOOTH_SIMD=avx999", "fuzz --iters 1 --seed 1");
-    EXPECT_NE(r.exitCode, 0) << r.output;
-    EXPECT_NE(r.output.find("scalar, sse2, avx2, avx512"),
-              std::string::npos)
-        << r.output;
+    for (const char *level : {"avx999", "sse2", "avx512"}) {
+        const CliResult r =
+            runCli(std::string("VSMOOTH_SIMD=") + level,
+                   "fuzz --iters 1 --seed 1");
+        EXPECT_NE(r.exitCode, 0) << r.output;
+        EXPECT_NE(r.output.find("scalar, avx2"), std::string::npos)
+            << r.output;
+    }
 }
 
 TEST(SimdOverride, KnownLevelRoundTrips)
@@ -411,33 +385,16 @@ TEST(SimdOverride, KnownLevelRoundTrips)
     EXPECT_NE(r.output.find("scalar"), std::string::npos) << r.output;
 }
 
-TEST(SimdOverride, Avx512RoundTripsOrIsFatalByHost)
-{
-    // A valid level name must round-trip where the host supports it
-    // and die with the host's maximum where it does not — the same
-    // spelled-out override behaves differently only by host capability,
-    // never by accepted-set membership.
-    const CliResult r =
-        runCli("VSMOOTH_SIMD=avx512", "fuzz --iters 5 --seed 1");
-    if (static_cast<int>(simd::detectHostLevel()) >=
-        static_cast<int>(simd::IsaLevel::Avx512)) {
-        EXPECT_EQ(r.exitCode, 0) << r.output;
-        EXPECT_NE(r.output.find("avx512"), std::string::npos)
-            << r.output;
-    } else {
-        EXPECT_NE(r.exitCode, 0) << r.output;
-        EXPECT_NE(r.output.find("host maximum"), std::string::npos)
-            << r.output;
-    }
-}
-
 TEST(SimdOverride, BadLaneCountIsFatal)
 {
-    const CliResult r =
-        runCli("VSMOOTH_LANES=17", "fuzz --iters 1 --seed 1");
-    EXPECT_NE(r.exitCode, 0) << r.output;
-    EXPECT_NE(r.output.find("VSMOOTH_LANES"), std::string::npos)
-        << r.output;
+    for (const char *lanes : {"9", "+8", "' 8'"}) {
+        const CliResult r =
+            runCli(std::string("VSMOOTH_LANES=") + lanes,
+                   "fuzz --iters 1 --seed 1");
+        EXPECT_NE(r.exitCode, 0) << r.output;
+        EXPECT_NE(r.output.find("VSMOOTH_LANES"), std::string::npos)
+            << r.output;
+    }
 }
 
 } // namespace

@@ -1,33 +1,27 @@
 #!/usr/bin/env bash
 # Build and run the simulator microbenchmarks that guard the batched
-# tick pipeline and the scenario-lane SIMD engine, emitting
-# google-benchmark JSON. Run from the repository root:
+# tick pipeline, the scenario-lane SIMD engine, phase-sampled
+# execution and the dsp kernel layer, emitting google-benchmark JSON.
+# Run from the repository root:
 #
 #   tools/bench.sh [build-dir] [out-json]
 #
-# The output name selects the benchmark set:
+# Every run records the same set, so any two artifacts compare row by
+# row:
 #
-#   BENCH_pr3.json (default) — BM_SystemTickDualCore (per-cycle
-#     baseline) vs BM_SystemTickBlocked (batched path); the
-#     items_per_second ratio is the batching speedup.
-#   BENCH_pr5*.json — BM_PopulationLaned / BM_OracleMatrixLaned at
-#     lane widths 1/4/8 on one worker thread; the width-1 vs widest
-#     ratio is the scenario-lane SIMD speedup (lanes=1 runs every
-#     scenario through the pre-lane solo path, i.e. the PR 3
-#     baseline execution).
-#   BENCH_pr6*.json — BM_PopulationSampled with sampling off vs auto
-#     on a 120M-cycle population of long flat workloads; the off vs
-#     auto ratio is the phase-sampled execution speedup.
-#   BENCH_pr8*.json — the BM_Dsp* primitive-layer kernels (per-sample
-#     throughput of each block primitive and the fused cross-lane
-#     step) plus BM_PopulationLaned, whose laned sweep rides on the
-#     same kernels end to end.
-#   BENCH_pr10*.json — BM_PopulationLaned / BM_OracleMatrixLaned at
-#     lane widths 1/4/8/16 on one worker thread plus the isolated
-#     BM_DspLaneStep kernel rows (8 and 16 lanes at the ambient
-#     dispatch level, AVX-512 where the host has it; pin
-#     VSMOOTH_SIMD=avx2 manually to measure the kernel-level backend
-#     ratio at a fixed width).
+#   BM_SystemTickDualCore (per-cycle baseline) vs BM_SystemTickBlocked
+#     (batched path); the items_per_second ratio is the batching
+#     speedup.
+#   BM_PopulationLaned / BM_OracleMatrixLaned at lane widths 1/4/8 on
+#     one worker thread; the width-1 vs widest ratio is the
+#     scenario-lane SIMD speedup (lanes=1 runs every scenario through
+#     the solo path).
+#   BM_PopulationSampled with sampling off vs auto on a 120M-cycle
+#     population of long flat workloads; the off vs auto ratio is the
+#     phase-sampled execution speedup.
+#   BM_Dsp* — per-sample throughput of each dsp block primitive and
+#     the fused cross-lane step at the ambient dispatch level (pin
+#     VSMOOTH_SIMD=scalar to measure the AVX2 kernel gain).
 #
 # Numbers are only meaningful from an optimized simulator: the script
 # refuses to run against a build tree whose cached CMAKE_BUILD_TYPE is
@@ -47,16 +41,9 @@
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
-OUT_JSON="${2:-BENCH_pr3.json}"
+OUT_JSON="${2:-BENCH.json}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
-
-case "$(basename "${OUT_JSON}")" in
-    BENCH_pr5*)  FILTER='Laned' ;;
-    BENCH_pr6*)  FILTER='BM_PopulationSampled' ;;
-    BENCH_pr8*)  FILTER='BM_Dsp|BM_PopulationLaned|BM_SystemTickBlocked' ;;
-    BENCH_pr10*) FILTER='Laned|BM_DspLaneStep' ;;
-    *)           FILTER='BM_SystemTick' ;;
-esac
+FILTER='BM_SystemTick|Laned|BM_PopulationSampled|BM_Dsp'
 
 # Configure fresh trees as Release; verify existing trees were cached
 # with an optimized build type before running anything against them.
@@ -121,16 +108,11 @@ for bench in ("BM_PopulationLaned", "BM_OracleMatrixLaned"):
     one = rates.get(f"{bench}/1/real_time_median")
     if not one:
         continue
-    for width in (4, 8, 16):
+    for width in (4, 8):
         wide = rates.get(f"{bench}/{width}/real_time_median")
         if wide:
             print(f"{bench}: lanes=1 -> lanes={width} "
                   f"speedup {wide / one:.2f}x (median of 5)")
-    eight = rates.get(f"{bench}/8/real_time_median")
-    sixteen = rates.get(f"{bench}/16/real_time_median")
-    if eight and sixteen:
-        print(f"{bench}: lanes=8 -> lanes=16 "
-              f"speedup {sixteen / eight:.2f}x (median of 5)")
 off = rates.get("BM_PopulationSampled/0/real_time_median")
 auto_ = rates.get("BM_PopulationSampled/1/real_time_median")
 if off and auto_:

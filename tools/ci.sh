@@ -75,29 +75,12 @@ echo "== ASan+UBSan fuzz: blocked vs scalar ticking, 2000 configs =="
 
 echo "== ASan+UBSan fuzz: scenario-lane vs solo equivalence, 2000 configs =="
 # Dedicated deep pass over the laned_vs_scalar property: every random
-# config runs through LaneGroup at a seed-derived lane width and must
+# config runs through LaneGroup at a drawn lane width 1..8 and must
 # produce bit-identical summaries to solo runs, with the sanitizers
 # watching the lane gather/scatter and retirement/repack paths.
 "${FUZZ_DIR}/src/tools/vsmooth" fuzz --seed 1 --iters 2000 \
       --properties laned_vs_scalar \
       --summary "${FUZZ_DIR}/fuzz-laned-summary.json"
-
-# Host-gated widest-lane pass: on AVX-512 machines, pin every config
-# to the full 16-lane width so the 8-wide mask-register kernels, the
-# 8x8 register transpose, and the pad-lane tail all run under the
-# sanitizers on every iteration (seed-derived widths only reach 16 on
-# a fraction of draws). Skipped silently on narrower hosts, where the
-# avx512 dispatch level is unreachable anyway.
-if grep -q avx512f /proc/cpuinfo 2>/dev/null &&
-   grep -q avx512dq /proc/cpuinfo 2>/dev/null; then
-    echo "== ASan+UBSan fuzz: laned at 16 lanes (AVX-512 host), 2000 configs =="
-    VSMOOTH_SIMD=avx512 "${FUZZ_DIR}/src/tools/vsmooth" fuzz \
-          --seed 1 --iters 2000 --lanes 16 \
-          --properties laned_vs_scalar \
-          --summary "${FUZZ_DIR}/fuzz-laned16-summary.json"
-else
-    echo "== skip: AVX-512 16-lane fuzz (host lacks avx512f+avx512dq) =="
-fi
 
 echo "== ASan+UBSan fuzz: sampled execution within bounds, 2000 configs =="
 # Dedicated deep pass over the sampled_within_bounds property: every
