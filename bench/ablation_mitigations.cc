@@ -10,9 +10,11 @@
  */
 
 #include <iostream>
+#include <iterator>
 #include <memory>
 
 #include "bench_util.hh"
+#include "common/parallel.hh"
 #include "common/table.hh"
 #include "cpu/fast_core.hh"
 #include "sim/system.hh"
@@ -25,9 +27,9 @@ namespace {
 
 struct Outcome
 {
-    std::uint64_t emergencies;
-    double ipc;
-    double throttledPct;
+    std::uint64_t emergencies = 0;
+    double ipc = 0.0;
+    double throttledPct = 0.0;
 };
 
 Outcome
@@ -86,9 +88,16 @@ main()
         {"+ both", "both", true, true, false},
         {"split per-core rails [1]", "split", false, false, true},
     };
+    // The five runs are independent: fan them out over the pool.
+    const auto outcomes =
+        parallelMap<Outcome>(std::size(configs), [&](std::size_t i) {
+            return run(configs[i].predictor, configs[i].damper,
+                       configs[i].split);
+        });
     auto result = bench::makeResult("ablation_mitigations");
-    for (const auto &c : configs) {
-        const auto o = run(c.predictor, c.damper, c.split);
+    for (std::size_t i = 0; i < std::size(configs); ++i) {
+        const auto &c = configs[i];
+        const auto &o = outcomes[i];
         t.addRow({c.name, TextTable::num(o.emergencies),
                   TextTable::num(o.ipc, 2),
                   TextTable::num(o.throttledPct, 1)});

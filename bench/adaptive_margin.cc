@@ -20,8 +20,11 @@
 
 #include <iostream>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "bench_util.hh"
+#include "common/parallel.hh"
 #include "common/table.hh"
 #include "sched/policy.hh"
 
@@ -68,36 +71,43 @@ struct ScheduleOutcome
     double droopsPer1k = 0.0;
 };
 
+/** One scheduled pair run under the margin controller. */
 ScheduleOutcome
-runSchedule(const sched::Schedule &schedule,
-            const std::vector<workload::SpecBenchmark> &suite)
+runPair(const sched::ScheduledPair &p,
+        const std::vector<workload::SpecBenchmark> &suite)
+{
+    sim::System sys(controllerConfig());
+    // Seeds derive from the pair's *contents*, not its slot, so both
+    // policies measure identical per-pair realizations and differ
+    // only in how they paired the pool. Two copies of the same
+    // program get the same seed and thus run in lockstep — the
+    // phase-aligned worst case a SPECrate-style launch produces on
+    // real hardware.
+    sys.addCore(std::make_unique<cpu::FastCore>(
+        workload::scheduleFor(suite[p.a], kCyclesPerPair, true),
+        101 + 7 * p.a));
+    sys.addCore(std::make_unique<cpu::FastCore>(
+        workload::scheduleFor(suite[p.b], kCyclesPerPair, true),
+        101 + 7 * p.b));
+    sys.run(kCyclesPerPair);
+
+    const auto *mc = sys.marginController();
+    return {mc->averageMargin(), mc->margin(), mc->widenings(),
+            1000.0 * sys.scope().fractionBelow(-sim::kIdleMargin)};
+}
+
+/** A schedule's means over its pair runs, summed in pair order. */
+ScheduleOutcome
+summarize(std::span<const ScheduleOutcome> pairs)
 {
     ScheduleOutcome o;
-    for (std::size_t i = 0; i < schedule.size(); ++i) {
-        const auto &p = schedule[i];
-        sim::System sys(controllerConfig());
-        // Seeds derive from the pair's *contents*, not its slot, so
-        // both policies measure identical per-pair realizations and
-        // differ only in how they paired the pool. Two copies of the
-        // same program get the same seed and thus run in lockstep —
-        // the phase-aligned worst case a SPECrate-style launch
-        // produces on real hardware.
-        sys.addCore(std::make_unique<cpu::FastCore>(
-            workload::scheduleFor(suite[p.a], kCyclesPerPair, true),
-            101 + 7 * p.a));
-        sys.addCore(std::make_unique<cpu::FastCore>(
-            workload::scheduleFor(suite[p.b], kCyclesPerPair, true),
-            101 + 7 * p.b));
-        sys.run(kCyclesPerPair);
-
-        const auto *mc = sys.marginController();
-        o.avgMargin += mc->averageMargin();
-        o.finalMargin += mc->margin();
-        o.violations += mc->widenings();
-        o.droopsPer1k +=
-            1000.0 * sys.scope().fractionBelow(-sim::kIdleMargin);
+    for (const auto &p : pairs) {
+        o.avgMargin += p.avgMargin;
+        o.finalMargin += p.finalMargin;
+        o.violations += p.violations;
+        o.droopsPer1k += p.droopsPer1k;
     }
-    const double n = static_cast<double>(schedule.size());
+    const double n = static_cast<double>(pairs.size());
     o.avgMargin /= n;
     o.finalMargin /= n;
     o.droopsPer1k /= n;
@@ -148,9 +158,22 @@ main()
     std::cout << "Random pairs:      " << pairList(randomSched) << "\n";
     std::cout << "Droop-aware pairs: " << pairList(droopSched) << "\n";
 
-    const ScheduleOutcome specRate = runSchedule(specRateSched, suite);
-    const ScheduleOutcome random = runSchedule(randomSched, suite);
-    const ScheduleOutcome droop = runSchedule(droopSched, suite);
+    // The 18 pair runs are independent: fan them out over the pool as
+    // one sweep, then take each schedule's means after the join.
+    std::vector<sched::ScheduledPair> pairs;
+    for (const auto *sch : {&specRateSched, &randomSched, &droopSched})
+        pairs.insert(pairs.end(), sch->begin(), sch->end());
+    const auto outcomes = parallelMap<ScheduleOutcome>(
+        pairs.size(), [&](std::size_t i) { return runPair(pairs[i], suite); });
+    std::span<const ScheduleOutcome> rest(outcomes);
+    auto next = [&](const sched::Schedule &sch) {
+        const ScheduleOutcome o = summarize(rest.first(sch.size()));
+        rest = rest.subspan(sch.size());
+        return o;
+    };
+    const ScheduleOutcome specRate = next(specRateSched);
+    const ScheduleOutcome random = next(randomSched);
+    const ScheduleOutcome droop = next(droopSched);
     const double advantage = specRate.avgMargin - droop.avgMargin;
 
     TextTable t("Adaptive margin under co-scheduling "

@@ -42,19 +42,6 @@ makeSystem(double decapFraction)
     return sim::System(cfg);
 }
 
-RunResult
-runPrepared(PreparedRun &p)
-{
-    if (p.untilFinished) {
-        p.sys.runUntilFinished(p.cycles);
-        if (p.sys.cycles() < p.padTo)
-            p.sys.run(p.padTo - p.sys.cycles());
-    } else {
-        p.sys.run(p.cycles);
-    }
-    return resultFrom(p.sys);
-}
-
 } // namespace
 
 PreparedRun
@@ -94,30 +81,6 @@ prepareParsec(const workload::ParsecBenchmark &bench, Cycles cycles,
     p.sys.addCore(std::make_unique<cpu::FastCore>(
         workload::parsecThreadSchedule(bench, 1, cycles), seed + 2));
     return p;
-}
-
-RunResult
-runSingle(const workload::SpecBenchmark &bench, Cycles cycles,
-          double decapFraction, std::uint64_t seed)
-{
-    PreparedRun p = prepareSingle(bench, cycles, decapFraction, seed);
-    return runPrepared(p);
-}
-
-RunResult
-runPair(const workload::SpecBenchmark &a, const workload::SpecBenchmark &b,
-        Cycles cycles, double decapFraction, std::uint64_t seed)
-{
-    PreparedRun p = preparePair(a, b, cycles, decapFraction, seed);
-    return runPrepared(p);
-}
-
-RunResult
-runParsec(const workload::ParsecBenchmark &bench, Cycles cycles,
-          double decapFraction, std::uint64_t seed)
-{
-    PreparedRun p = prepareParsec(bench, cycles, decapFraction, seed);
-    return runPrepared(p);
 }
 
 void

@@ -62,33 +62,20 @@ struct PreparedRun
     Cycles padTo = 0;
 };
 
-/** Build (but do not run) the runSingle simulation. */
+/** Build (but do not run) one benchmark with the second core idle. */
 PreparedRun prepareSingle(const workload::SpecBenchmark &bench,
                           Cycles cycles, double decapFraction = 1.0,
                           std::uint64_t seed = 1);
 
-/** Build (but do not run) the runPair simulation. */
+/** Build (but do not run) a benchmark pair (multi-program). */
 PreparedRun preparePair(const workload::SpecBenchmark &a,
                         const workload::SpecBenchmark &b, Cycles cycles,
                         double decapFraction = 1.0, std::uint64_t seed = 1);
 
-/** Build (but do not run) the runParsec simulation. */
+/** Build (but do not run) one PARSEC program with two threads. */
 PreparedRun prepareParsec(const workload::ParsecBenchmark &bench,
                           Cycles cycles, double decapFraction = 1.0,
                           std::uint64_t seed = 1);
-
-/** Run one benchmark with the second core idle. */
-RunResult runSingle(const workload::SpecBenchmark &bench, Cycles cycles,
-                    double decapFraction = 1.0, std::uint64_t seed = 1);
-
-/** Run a benchmark pair (multi-program). */
-RunResult runPair(const workload::SpecBenchmark &a,
-                  const workload::SpecBenchmark &b, Cycles cycles,
-                  double decapFraction = 1.0, std::uint64_t seed = 1);
-
-/** Run one PARSEC program with two threads. */
-RunResult runParsec(const workload::ParsecBenchmark &bench, Cycles cycles,
-                    double decapFraction = 1.0, std::uint64_t seed = 1);
 
 /**
  * Execute `total` independently prepared simulations, draining them

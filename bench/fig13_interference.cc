@@ -12,14 +12,13 @@
 #include <algorithm>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "bench_util.hh"
 #include "common/parallel.hh"
-#include "common/simd.hh"
 #include "common/table.hh"
 #include "cpu/detailed_core.hh"
-#include "sim/lane_group.hh"
 #include "sim/system.hh"
 #include "workload/microbench.hh"
 
@@ -29,75 +28,34 @@ namespace {
 
 constexpr Cycles kSweepCycles = 1'500'000;
 
-/**
- * One sweep cell: the system plus the microbenchmark streams it
- * references (DetailedCore does not own its instruction source, so
- * the cell keeps the streams alive for the lane group's lifetime).
- */
-struct Cell
+/** Chip-wide visual p2p swing of one cell: Core0 runs microbenchmark
+ *  `a`, Core1 runs `b`; a core without one idles. */
+double
+cellP2p(std::optional<workload::MicrobenchKind> a,
+        std::optional<workload::MicrobenchKind> b)
 {
+    // DetailedCore does not own its instruction source, so the
+    // streams outlive the System.
     std::unique_ptr<cpu::InstructionSource> s0, s1;
     sim::System sys{sim::SystemConfig{}};
-};
-
-Cell
-prepareSingleCell(workload::MicrobenchKind a)
-{
-    Cell cell;
-    cell.s0 = workload::makeMicrobenchmark(a, 7);
-    cell.sys.addCore(std::make_unique<cpu::DetailedCore>(
-        cpu::DetailedCoreParams{}, *cell.s0));
-    cell.sys.addCore(std::make_unique<cpu::FastCore>(
-        workload::idleSchedule(1000), 43));
-    return cell;
-}
-
-Cell
-preparePairCell(workload::MicrobenchKind a, workload::MicrobenchKind b)
-{
-    Cell cell;
-    cell.s0 = workload::makeMicrobenchmark(a, 7);
-    cell.s1 = workload::makeMicrobenchmark(b, 99);
-    cell.sys.addCore(std::make_unique<cpu::DetailedCore>(
-        cpu::DetailedCoreParams{}, *cell.s0));
-    cell.sys.addCore(std::make_unique<cpu::DetailedCore>(
-        cpu::DetailedCoreParams{}, *cell.s1));
-    return cell;
-}
-
-/**
- * Drain `total` cells through the scenario-lane engine, K at a time
- * per worker, and return each cell's p2p swing relative to idle.
- */
-template <class Prepare>
-std::vector<double>
-lanedP2pSweep(std::size_t total, Prepare prepare, double idle)
-{
-    std::vector<double> rel(total);
-    const std::size_t lanes = simd::defaultLaneWidth();
-    const std::size_t nGroups = (total + lanes - 1) / lanes;
-    parallelFor(0, nGroups, [&](std::size_t g) {
-        const std::size_t begin = g * lanes;
-        const std::size_t end = std::min(total, begin + lanes);
-        std::vector<Cell> cells;
-        cells.reserve(end - begin);
-        std::vector<sim::LanePlan> plans;
-        plans.reserve(end - begin);
-        for (std::size_t t = begin; t < end; ++t) {
-            cells.push_back(prepare(t));
-            sim::LanePlan plan;
-            plan.system = &cells.back().sys;
-            plan.cycles = kSweepCycles;
-            plans.push_back(plan);
-        }
-        sim::LaneGroup group(lanes);
-        group.run(plans);
-        for (std::size_t t = begin; t < end; ++t) {
-            rel[t] =
-                cells[t - begin].sys.scope().visualPeakToPeak() / idle;
-        }
-    });
-    return rel;
+    if (a) {
+        s0 = workload::makeMicrobenchmark(*a, 7);
+        sys.addCore(std::make_unique<cpu::DetailedCore>(
+            cpu::DetailedCoreParams{}, *s0));
+    } else {
+        sys.addCore(std::make_unique<cpu::FastCore>(
+            workload::idleSchedule(1000), 42));
+    }
+    if (b) {
+        s1 = workload::makeMicrobenchmark(*b, 99);
+        sys.addCore(std::make_unique<cpu::DetailedCore>(
+            cpu::DetailedCoreParams{}, *s1));
+    } else {
+        sys.addCore(std::make_unique<cpu::FastCore>(
+            workload::idleSchedule(1000), 43));
+    }
+    sys.run(kSweepCycles);
+    return sys.scope().visualPeakToPeak();
 }
 
 } // namespace
@@ -105,38 +63,30 @@ lanedP2pSweep(std::size_t total, Prepare prepare, double idle)
 int
 main()
 {
-    // Idle baseline.
-    double idle;
-    {
-        sim::SystemConfig cfg;
-        sim::System sys(cfg);
-        sys.addCore(std::make_unique<cpu::FastCore>(
-            workload::idleSchedule(1000), 42));
-        sys.addCore(std::make_unique<cpu::FastCore>(
-            workload::idleSchedule(1000), 43));
-        sys.run(1'500'000);
-        idle = sys.scope().visualPeakToPeak();
-    }
-
     const auto &kinds = workload::kEventMicrobenchmarks;
     const std::size_t nk = kinds.size();
 
-    // Single-core max (for the +42 % comparison); every cell is an
-    // independent simulation, so the sweeps fan out over the pool
-    // and each worker steps K cells in SIMD lockstep.
-    const auto singles = lanedP2pSweep(
-        nk, [&](std::size_t k) { return prepareSingleCell(kinds[k]); },
-        idle);
+    // Every cell is an independent simulation, so the whole figure is
+    // one sweep over the pool, longest first: the 5x5 dual-core grid
+    // (row-major), the single-core cells (for the +42 % comparison),
+    // then the idle baseline.
+    const std::size_t nPairs = nk * nk;
+    const auto p2p =
+        parallelMap<double>(nPairs + nk + 1, [&](std::size_t t) {
+            if (t < nPairs)
+                return cellP2p(kinds[t / nk], kinds[t % nk]);
+            if (t < nPairs + nk)
+                return cellP2p(kinds[t - nPairs], std::nullopt);
+            return cellP2p(std::nullopt, std::nullopt);
+        });
+    const double idle = p2p.back();
+    std::vector<double> grid(nPairs), singles(nk);
+    for (std::size_t t = 0; t < nPairs; ++t)
+        grid[t] = p2p[t] / idle;
+    for (std::size_t k = 0; k < nk; ++k)
+        singles[k] = p2p[nPairs + k] / idle;
     const double single_max =
         *std::max_element(singles.begin(), singles.end());
-
-    // The 5x5 dual-core interference grid, row-major.
-    const auto grid = lanedP2pSweep(
-        nk * nk,
-        [&](std::size_t t) {
-            return preparePairCell(kinds[t / nk], kinds[t % nk]);
-        },
-        idle);
 
     TextTable table(
         "Fig 13: dual-core p2p swing relative to idle (Core0 x Core1)");

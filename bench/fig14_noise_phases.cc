@@ -11,10 +11,13 @@
  * counts come from the scope-histogram sample metric.
  */
 
+#include <array>
 #include <iostream>
 #include <memory>
+#include <vector>
 
 #include "bench_util.hh"
+#include "common/parallel.hh"
 #include "common/table.hh"
 #include "cpu/fast_core.hh"
 #include "noise/timeline.hh"
@@ -24,27 +27,51 @@
 
 using namespace vsmooth;
 
+namespace {
+
+/** Droops/1K per timeline interval of `bench` run to completion. */
+std::vector<double>
+droopTimeline(const workload::SpecBenchmark &bench)
+{
+    sim::SystemConfig cfg;
+    cfg.enableTimeline = true;
+    cfg.timelineInterval = 100'000; // the paper's 60 s, scaled
+    // Always exact, even under VSMOOTH_SAMPLING=auto: the figure
+    // stamps no sampling bounds.
+    cfg.sampling.mode = sim::SamplingConfig::Mode::Off;
+    sim::System sys(cfg);
+    sys.addCore(std::make_unique<cpu::FastCore>(
+        workload::scheduleFor(bench, 2'000'000), 11));
+    sys.addCore(std::make_unique<cpu::FastCore>(
+        workload::idleSchedule(1000), 43));
+    // Run in blocks while core 0 cannot finish within them, then tick
+    // to the exact cycle it finishes: the same cycles as ticking until
+    // finished().
+    Cycles bound;
+    while ((bound = sys.core(0).minTicksUntilFinished()) > 1)
+        sys.run(bound - 1);
+    while (!sys.core(0).finished())
+        sys.tick();
+    return sys.timelineSeries();
+}
+
+} // namespace
+
 int
 main()
 {
+    const std::array<const char *, 3> names = {"sphinx", "gamess", "tonto"};
+    const auto timelines =
+        parallelMap<std::vector<double>>(names.size(), [&](std::size_t i) {
+            return droopTimeline(workload::specByName(names[i]));
+        });
+
     auto result = bench::makeResult("fig14_noise_phases");
-    for (const char *name : {"sphinx", "gamess", "tonto"}) {
-        const auto &bench = workload::specByName(name);
-
-        sim::SystemConfig cfg;
-        cfg.enableTimeline = true;
-        cfg.timelineInterval = 100'000; // the paper's 60 s, scaled
-        sim::System sys(cfg);
-        sys.addCore(std::make_unique<cpu::FastCore>(
-            workload::scheduleFor(bench, 2'000'000), 11));
-        sys.addCore(std::make_unique<cpu::FastCore>(
-            workload::idleSchedule(1000), 43));
-        while (!sys.core(0).finished())
-            sys.tick();
-
-        const auto &series = sys.timelineSeries();
+    for (std::size_t b = 0; b < names.size(); ++b) {
+        const char *name = names[b];
+        const auto &series = timelines[b];
         TextTable table("Fig 14: droops/1K cycles over time - " +
-                        bench.name);
+                        workload::specByName(name).name);
         table.setHeader({"interval", "droops/1K", ""});
         for (std::size_t i = 0; i < series.size(); ++i) {
             table.addRow({TextTable::num(static_cast<int>(i)),

@@ -49,13 +49,16 @@ void setJobs(std::size_t n);
 /**
  * Run fn(i) for every i in [begin, end) across the pool.
  *
- * The range is split into at most numJobs() statically-sized
- * contiguous chunks; each index is executed exactly once. The call
- * returns after every index has completed. The first exception thrown
- * by fn is rethrown on the calling thread (remaining undispatched
- * chunks are abandoned). Nested calls — fn itself calling
- * parallelFor — run serially inline on the worker, so they are safe
- * but gain no extra parallelism.
+ * At most numJobs() threads (the caller among them) work on the
+ * sweep. Each claims single indices, in increasing order, from a
+ * shared counter, so a long index never holds back the ones after it
+ * and callers can list their longest tasks first. Each index is
+ * executed exactly once; the call returns after every index has
+ * completed. Once fn throws, no further index is claimed; after every
+ * claimed index has finished, the exception from the lowest throwing
+ * index is rethrown on the calling thread. Nested calls — fn itself
+ * calling parallelFor — run serially inline on the worker, so they
+ * are safe but gain no extra parallelism.
  */
 void parallelFor(std::size_t begin, std::size_t end,
                  const std::function<void(std::size_t)> &fn);

@@ -44,7 +44,7 @@ struct LanePlan
     /** Use runUntilFinished semantics instead of run(cycles). */
     bool untilFinished = false;
     /** After an untilFinished run: pad with run() up to this absolute
-     *  cycle count (0 = no padding) — runParsec's shape. */
+     *  cycle count (0 = no padding) — prepareParsec's shape. */
     Cycles padTo = 0;
     /** Out: cycles the untilFinished phase executed (== what
      *  runUntilFinished would have returned). */

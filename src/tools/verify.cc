@@ -1,12 +1,18 @@
 #include "verify.hh"
 
+#include <fcntl.h>
+#include <spawn.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
-#include <cstdlib>
+#include <algorithm>
+#include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <string_view>
 
 #include "common/fsio.hh"
 #include "common/json.hh"
@@ -24,8 +30,9 @@ experimentRegistry()
     // `fast` marks the default verify subset: experiments that finish
     // in a few seconds even single-threaded, chosen to still cover
     // the PDN analysis, the tech-node model, the full simulator stack
-    // (fig12), a parallelMap sweep (fig15, so jobs-invariance is
-    // exercised end-to-end), and the sliding-window scheduler (fig16).
+    // (fig12), parallel sweeps (fig12, fig15, ablation_core_scaling,
+    // so jobs-invariance is exercised end-to-end), and the
+    // sliding-window scheduler (fig16).
     // Fig 17-19 and Table I share one oracle pre-run, so one binary,
     // oracle_study, emits all four Results.
     static const std::vector<ExperimentInfo> registry = {
@@ -112,7 +119,30 @@ loadResult(const std::string &path, Result &out, Json *rawOut)
     return true;
 }
 
-/** Run an experiment's binary with result emission into `workDir`. */
+/** Our environment with each `NAME=value` in `overrides` replacing
+ *  any entry of the same name. */
+std::vector<std::string>
+childEnvironment(const std::vector<std::string> &overrides)
+{
+    auto nameOf = [](std::string_view entry) {
+        return entry.substr(0, entry.find('='));
+    };
+    std::vector<std::string> env;
+    for (char **e = environ; *e; ++e) {
+        const std::string_view entry(*e);
+        if (std::none_of(overrides.begin(), overrides.end(),
+                         [&](const std::string &o) {
+                             return nameOf(o) == nameOf(entry);
+                         }))
+            env.emplace_back(entry);
+    }
+    env.insert(env.end(), overrides.begin(), overrides.end());
+    return env;
+}
+
+/** Run an experiment's binary with result emission into `workDir`.
+ *  The binary is executed directly, not through a shell, so no
+ *  character in a path needs quoting. */
 bool
 runExperiment(const VerifyOptions &opt, const std::string &name,
               const std::string &workDir)
@@ -124,18 +154,51 @@ runExperiment(const VerifyOptions &opt, const std::string &name,
                   << "' (build the bench targets first)\n";
         return false;
     }
-    std::string cmd = "VSMOOTH_RESULT_DIR='" + workDir + "'";
+    std::vector<std::string> overrides = {"VSMOOTH_RESULT_DIR=" + workDir};
     if (opt.jobs > 0)
-        cmd += " VSMOOTH_JOBS=" + std::to_string(opt.jobs);
-    cmd += " '" + binary.string() + "'";
-    cmd += opt.verbose ? " >&2" : " > /dev/null";
-    const int rc = std::system(cmd.c_str());
-    if (rc != 0) {
-        std::cerr << "  '" << binary.string() << "' exited with status "
-                  << rc << "\n";
+        overrides.push_back("VSMOOTH_JOBS=" + std::to_string(opt.jobs));
+    std::vector<std::string> env = childEnvironment(overrides);
+    std::vector<char *> envp;
+    for (auto &e : env)
+        envp.push_back(e.data());
+    envp.push_back(nullptr);
+    std::string path = binary.string();
+    char *argv[] = {path.data(), nullptr};
+
+    posix_spawn_file_actions_t actions;
+    posix_spawn_file_actions_init(&actions);
+    if (opt.verbose)
+        posix_spawn_file_actions_adddup2(&actions, STDERR_FILENO,
+                                         STDOUT_FILENO);
+    else
+        posix_spawn_file_actions_addopen(&actions, STDOUT_FILENO,
+                                         "/dev/null", O_WRONLY, 0);
+    pid_t pid;
+    const int err = posix_spawn(&pid, path.c_str(), &actions, nullptr,
+                                argv, envp.data());
+    posix_spawn_file_actions_destroy(&actions);
+    if (err != 0) {
+        std::cerr << "  cannot run '" << path << "': " << std::strerror(err)
+                  << "\n";
         return false;
     }
-    return true;
+    int status = 0;
+    while (waitpid(pid, &status, 0) < 0) {
+        if (errno != EINTR) {
+            std::cerr << "  cannot wait for '" << path
+                      << "': " << std::strerror(errno) << "\n";
+            return false;
+        }
+    }
+    if (WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        return true;
+    if (WIFSIGNALED(status))
+        std::cerr << "  '" << path << "' killed by signal "
+                  << WTERMSIG(status) << "\n";
+    else
+        std::cerr << "  '" << path << "' exited with status "
+                  << WEXITSTATUS(status) << "\n";
+    return false;
 }
 
 /** In --update mode: write the fresh result as the new golden,

@@ -278,6 +278,28 @@ TEST(CliErrors, VerifyRemovesItsOwnWorkDir)
     EXPECT_EQ(filesIn(tmp), std::vector<std::string>{});
 }
 
+TEST(CliErrors, VerifyWorkDirWithQuote)
+{
+    // verify runs each binary directly, not through a shell, so a
+    // quote or a space in the work dir or TMPDIR is just a character.
+    const auto dir = scratchDir("verify_quote") / "it's here";
+    const auto work = dir / "work";
+    fs::create_directories(work);
+    const std::string args = "verify --bench-dir " VSMOOTH_BENCH_DIR
+                             " --golden-dir " VSMOOTH_GOLDEN_DIR
+                             " --experiments fig04_impedance";
+    auto r = runCli(args + " --work-dir \"" + work.string() + "\"");
+    EXPECT_EQ(r.exitCode, 0) << r.output;
+    EXPECT_NE(r.output.find("fig04_impedance: PASS"), std::string::npos)
+        << r.output;
+    EXPECT_TRUE(fs::exists(work / "fig04_impedance.json"));
+
+    r = runCli(args, "TMPDIR=\"" + dir.string() + "\"");
+    EXPECT_EQ(r.exitCode, 0) << r.output;
+    EXPECT_NE(r.output.find("fig04_impedance: PASS"), std::string::npos)
+        << r.output;
+}
+
 TEST(CliErrors, FuzzUnknownProperty)
 {
     const auto r = runCli("fuzz --iters 1 --properties not_a_property");

@@ -265,7 +265,7 @@ TEST(LaneGroup, DifferingOsTickAndTraceBoundaries)
 TEST(LaneGroup, MidSweepRetirementOnFiniteSchedules)
 {
     // Finite and looping schedules interleaved: the finite lanes
-    // finish at staggered cycles (then pad runParsec-style), freeing
+    // finish at staggered cycles (then pad prepareParsec-style), freeing
     // lanes that refill from the queue mid-sweep.
     std::vector<Scenario> scenarios;
     for (int i = 0; i < 9; ++i) {

@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the deterministic parallel sweep engine: thread-pool
- * semantics (every index exactly once, exception propagation, nested
- * calls) and the repo's core invariant that the job count never
- * changes results (OracleMatrix and merged-histogram populations are
- * bit-identical for jobs=1 vs jobs=4).
+ * semantics (every index exactly once, in-order dynamic claiming, the
+ * job-count cap, exception propagation, nested calls) and the repo's
+ * core invariant that the job count never changes results
+ * (OracleMatrix and merged-histogram populations are bit-identical
+ * for jobs=1 vs jobs=4).
  */
 
 #include <gtest/gtest.h>
@@ -168,6 +169,59 @@ TEST(Parallel, LowestChunkExceptionWinsDeterministically)
         // Both non-throwing chunks ran to completion before rethrow.
         EXPECT_EQ(finished.load(), 2) << "iteration " << iter;
     }
+}
+
+TEST(Parallel, LongIndexDoesNotHoldBackLaterOnes)
+{
+    // Indices are claimed one at a time, so while index 0 runs the
+    // other thread claims every later one. Fixed contiguous chunks
+    // would stall here: index 0 would block the rest of its chunk.
+    JobsGuard guard;
+    setJobs(2);
+    constexpr std::size_t kN = 16;
+    std::atomic<std::size_t> done{0};
+    std::atomic<bool> timedOut{false};
+    parallelFor(0, kN, [&](std::size_t i) {
+        if (i != 0) {
+            ++done;
+            return;
+        }
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (done.load() < kN - 1) {
+            if (std::chrono::steady_clock::now() > deadline) {
+                timedOut = true;
+                return;
+            }
+            std::this_thread::yield();
+        }
+    });
+    EXPECT_FALSE(timedOut.load())
+        << done.load() << " of " << kN - 1
+        << " later indices ran while index 0 waited";
+}
+
+TEST(Parallel, SurplusWorkersSitOutSmallerJobCount)
+{
+    // Workers spawned for an earlier, larger job count stay in the
+    // pool, but a sweep at setJobs(2) runs at most 2 indices at once.
+    JobsGuard guard;
+    setJobs(8);
+    parallelFor(0, 64, [](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    });
+    setJobs(2);
+    std::atomic<int> inFlight{0};
+    std::atomic<int> peak{0};
+    parallelFor(0, 64, [&](std::size_t) {
+        const int now = ++inFlight;
+        int seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        --inFlight;
+    });
+    EXPECT_LE(peak.load(), 2);
 }
 
 TEST(Parallel, NestedCallsRunInlineWithoutDeadlock)
