@@ -1,12 +1,19 @@
 #include "bench_util.hh"
 
-#include <algorithm>
-#include <cstdlib>
-#include <fstream>
+#include <unistd.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <string_view>
+
+#include "common/fsio.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/simd.hh"
+#include "serve/cache.hh"
 #include "sim/lane_group.hh"
 
 #ifndef VSMOOTH_GIT_DESCRIBE
@@ -165,12 +172,254 @@ runPopulation(Cycles cyclesPerRun, double decapFraction,
     for (const auto &r : results) {
         pop.scope.merge(r.scope);
         pop.emergencies.merge(r.emergencies);
-        pop.tailFractions.push_back(r.scope.fractionBelow(-0.04));
         ++pop.runs;
     }
     for (const auto &rep : reports)
         pop.sampling.merge(rep);
     return pop;
+}
+
+namespace {
+
+constexpr std::string_view kPopulationFormat = "vsmooth-population 1";
+/** Sanity cap on the margin count a file may declare. */
+constexpr std::uint64_t kMaxMargins = 4096;
+
+/** A sampling report's bounds, in file order. */
+template <typename Report>
+auto
+boundFields(Report &r)
+{
+    return std::array{&r.maxDroopBound,        &r.maxOvershootBound,
+                      &r.eventCountBound,      &r.deepestEventBound,
+                      &r.timelineElementBound, &r.coreInstructionBound,
+                      &r.coreStallCycleBound,  &r.histFractionBound};
+}
+
+} // namespace
+
+bool
+Population::save(std::ostream &os, const std::string &key,
+                 const std::vector<Population> &pops)
+{
+    const std::size_t bins = noise::Scope().histogram().numBins();
+    os << kPopulationFormat << "\nkey " << key << "\npopulations";
+    writeField(os, pops.size());
+    os << " bins";
+    writeField(os, bins);
+    os << "\n";
+    for (const auto &pop : pops) {
+        const Histogram &h = pop.scope.histogram();
+        const auto &e = pop.emergencies;
+        os << "population";
+        writeField(os, pop.runs);
+        writeField(os, h.totalCount());
+        writeField(os, h.underflowCount());
+        writeField(os, h.overflowCount());
+        writeField(os, h.minSample());
+        writeField(os, h.maxSample());
+        os << "\ncounts";
+        for (std::size_t i = 0; i < bins; ++i)
+            writeField(os, h.binCount(i));
+        os << "\nemergencies";
+        writeField(os, e.cycles);
+        writeField(os, e.margins.size());
+        for (double m : e.margins)
+            writeField(os, m);
+        for (std::uint64_t c : e.counts)
+            writeField(os, c);
+        const auto &r = pop.sampling;
+        os << "\nsampling";
+        writeField(os, std::uint64_t{r.active});
+        writeField(os, r.simulatedCycles);
+        writeField(os, r.extrapolatedCycles);
+        writeField(os, r.skips);
+        for (const double *b : boundFields(r))
+            writeField(os, *b);
+        os << "\n";
+    }
+    os << "end\n";
+    return os.good();
+}
+
+std::optional<std::vector<Population>>
+Population::load(std::istream &is, const std::string &key,
+                 std::size_t count)
+{
+    std::vector<Population> pops(count);
+    std::vector<std::uint64_t> bins(noise::Scope().histogram().numBins());
+    std::string line;
+    // The next line, opening with `label`, as fields after it.
+    auto labelled = [&](std::string_view label) -> std::optional<Fields> {
+        if (!std::getline(is, line))
+            return std::nullopt;
+        Fields f(line);
+        if (f.word() != label)
+            return std::nullopt;
+        return f;
+    };
+    if (!std::getline(is, line) || line != kPopulationFormat ||
+        !std::getline(is, line) || line != "key " + key)
+        return std::nullopt;
+    std::uint64_t n = 0, nBins = 0;
+    auto header = labelled("populations");
+    if (!header || !header->next(n) || header->word() != "bins" ||
+        !header->next(nBins) || !header->done() || n != count ||
+        nBins != bins.size())
+        return std::nullopt;
+
+    auto readPopulation = [&](Population &pop) {
+        std::uint64_t runs = 0, total = 0, under = 0, over = 0;
+        double min = 0.0, max = 0.0;
+        auto head = labelled("population");
+        if (!head || !head->next(runs) || !head->next(total) ||
+            !head->next(under) || !head->next(over) ||
+            !head->next(min) || !head->next(max) || !head->done())
+            return false;
+        auto counts = labelled("counts");
+        if (!counts)
+            return false;
+        for (auto &c : bins)
+            if (!counts->next(c))
+                return false;
+        if (!counts->done())
+            return false;
+        pop.runs = runs;
+        pop.scope.restore(bins, under, over, min, max);
+        if (pop.scope.histogram().totalCount() != total)
+            return false;
+
+        auto &e = pop.emergencies;
+        std::uint64_t nMargins = 0;
+        auto em = labelled("emergencies");
+        if (!em || !em->next(e.cycles) || !em->next(nMargins) ||
+            nMargins > kMaxMargins)
+            return false;
+        e.margins.resize(nMargins);
+        e.counts.resize(nMargins);
+        for (double &m : e.margins)
+            if (!em->next(m))
+                return false;
+        for (auto &c : e.counts)
+            if (!em->next(c))
+                return false;
+        if (!em->done())
+            return false;
+
+        auto &r = pop.sampling;
+        std::uint64_t active = 0;
+        auto sampling = labelled("sampling");
+        if (!sampling || !sampling->next(active) || active > 1 ||
+            !sampling->next(r.simulatedCycles) ||
+            !sampling->next(r.extrapolatedCycles) ||
+            !sampling->next(r.skips))
+            return false;
+        r.active = active == 1;
+        for (double *b : boundFields(r))
+            if (!sampling->next(*b))
+                return false;
+        return sampling->done();
+    };
+    for (auto &pop : pops)
+        if (!readPopulation(pop))
+            return std::nullopt;
+    // The end marker, then nothing: a file cut anywhere before it, or
+    // holding anything after it, is not these populations.
+    if (!std::getline(is, line) || line != "end" ||
+        is.peek() != std::istream::traits_type::eof())
+        return std::nullopt;
+    return pops;
+}
+
+namespace {
+
+/**
+ * FNV-1a digest of this executable's bytes. Each 64 KiB chunk is
+ * hashed, then the chunk digests, so the file is never held in memory
+ * whole. Empty when the executable cannot be read.
+ */
+std::string
+executableHash()
+{
+    std::ifstream in("/proc/self/exe", std::ios::binary);
+    std::vector<char> chunk(64 * 1024);
+    std::string digests;
+    while (in) {
+        in.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+        digests += serve::fnv1aHex(
+            {chunk.data(), static_cast<std::size_t>(in.gcount())});
+    }
+    if (in.bad() || digests.empty())
+        return {};
+    return serve::fnv1aHex(digests);
+}
+
+/**
+ * The pre-run cache key: the executable hash (it fixes the model and
+ * every study config) plus the execution path the Results claim.
+ * Empty when the executable cannot be hashed.
+ */
+std::string
+cacheKey()
+{
+    const std::string exe = executableHash();
+    if (exe.empty())
+        return {};
+    auto env = [](const char *name) {
+        const char *v = std::getenv(name);
+        return std::string(v ? v : "");
+    };
+    return "exe=" + exe + " simd=" + simd::description() +
+        " jobs=" + std::to_string(numJobs()) +
+        " scalar_tick=" + env("VSMOOTH_SCALAR_TICK") +
+        " sampling=" + env("VSMOOTH_SAMPLING");
+}
+
+/** <temp dir>/vsmooth-<uid>/<study>.cache; empty without a temp dir. */
+std::string
+cachePath(const std::string &study)
+{
+    std::error_code ec;
+    const auto tmp = std::filesystem::temp_directory_path(ec);
+    if (ec)
+        return {};
+    return (tmp / ("vsmooth-" + std::to_string(::geteuid())) /
+            (study + ".cache"))
+        .string();
+}
+
+} // namespace
+
+void
+cachedPrerun(
+    const std::string &study,
+    const std::function<bool(std::istream &, const std::string &)> &load,
+    const std::function<void()> &build,
+    const std::function<bool(std::ostream &, const std::string &)> &save)
+{
+    const std::string path = cachePath(study);
+    const std::string key = cacheKey();
+    if (path.empty() || key.empty()) {
+        inform("%s: no usable pre-run cache; building", study.c_str());
+        build();
+        return;
+    }
+    const CacheOutcome outcome = loadOrBuild(
+        path, [&](std::istream &is) { return load(is, key); }, build,
+        [&](std::ostream &os) { return save(os, key); });
+    switch (outcome) {
+      case CacheOutcome::Hit:
+        inform("%s: pre-run read from %s", study.c_str(), path.c_str());
+        break;
+      case CacheOutcome::Miss:
+        inform("%s: pre-run built, saved to %s", study.c_str(),
+               path.c_str());
+        break;
+      case CacheOutcome::Unusable:
+        inform("%s: pre-run built; cache %s not usable", study.c_str(),
+               path.c_str());
+        break;
+    }
 }
 
 Result

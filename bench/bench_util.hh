@@ -5,14 +5,18 @@
  * Every bench binary prints the paper's rows or series through
  * TextTable so the reproduction output is uniform; this header holds
  * the run plumbing they share (single runs, pair runs, population
- * aggregation over the 29 + 11 + pairs workload set).
+ * aggregation over the 29 + 11 + pairs workload set, and the pre-run
+ * cache of the study binaries).
  */
 
 #ifndef VSMOOTH_BENCH_BENCH_UTIL_HH
 #define VSMOOTH_BENCH_BENCH_UTIL_HH
 
 #include <functional>
+#include <istream>
 #include <memory>
+#include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -103,16 +107,49 @@ struct Population
 {
     noise::Scope scope;
     resilience::EmergencyProfile emergencies;
-    /** Per-run fraction of samples below -4 % (typical-case tail). */
-    std::vector<double> tailFractions;
     std::size_t runs = 0;
     /** Merged sampled-execution report over all runs (inactive when
      *  every run executed exactly — the default). */
     sim::SamplingReport sampling;
+
+    /**
+     * Stream `pops` in load()'s format, headed by `key`: per
+     * population its run count, the scope histogram's exact state,
+     * the emergency profile and the sampling report, doubles as their
+     * bit patterns. Returns false on a stream error.
+     */
+    static bool save(std::ostream &os, const std::string &key,
+                     const std::vector<Population> &pops);
+
+    /**
+     * The `count` populations save() wrote under exactly `key`. Any
+     * other input (another key, population count or bin count, a
+     * truncated stream, a malformed token, trailing data) yields
+     * nullopt, never a partial population.
+     */
+    static std::optional<std::vector<Population>>
+    load(std::istream &is, const std::string &key, std::size_t count);
 };
 
 Population runPopulation(Cycles cyclesPerRun, double decapFraction,
                          std::uint64_t seed = 1);
+
+/**
+ * Run a study's pre-run once per `vsmooth verify` pass: the study's
+ * processes share it through the file <temp dir>/vsmooth-<uid>/
+ * <study>.cache. Its key hashes this executable's bytes and names the
+ * execution path the Results claim (SIMD level, job count, raw
+ * VSMOOTH_SCALAR_TICK and VSMOOTH_SAMPLING), so any rebuild, or a run
+ * on another path, misses. `load` reads a pre-run saved under the
+ * given key and returns true; otherwise `build` runs the pre-run and
+ * `save` writes it under that key (common/fsio's loadOrBuild). Says on
+ * stderr, under the study's name, whether it was built or read.
+ */
+void cachedPrerun(
+    const std::string &study,
+    const std::function<bool(std::istream &, const std::string &)> &load,
+    const std::function<void()> &build,
+    const std::function<bool(std::ostream &, const std::string &)> &save);
 
 /**
  * Start a structured Result for one experiment, stamped with the

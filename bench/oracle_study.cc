@@ -7,95 +7,29 @@
  *
  * `vsmooth verify` runs it once per registry name, so checking the
  * four experiments takes four processes. The pre-run matrix therefore
- * also lives in one file, <temp dir>/vsmooth-<uid>/oracle_study.matrix
- * (sched::OracleMatrix::cached). Its key hashes this executable's
- * bytes, so a rebuild after any source edit misses, and names the
- * execution path the Results claim, so each path builds and checks
- * its own matrix. The first process builds and writes the file; the
+ * also lives in one file, <temp dir>/vsmooth-<uid>/oracle_study.cache
+ * (bench::cachedPrerun): the first process builds and writes it, the
  * others read it. A fresh TMPDIR, or deleting the file, forces a cold
  * run.
  */
 
-#include <unistd.h>
-
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
+#include <optional>
 
 #include "bench_util.hh"
-#include "common/logging.hh"
-#include "common/parallel.hh"
-#include "common/simd.hh"
 #include "common/statistics.hh"
 #include "common/table.hh"
 #include "sched/oracle_matrix.hh"
 #include "sched/pass_analysis.hh"
 #include "sched/policy.hh"
-#include "serve/cache.hh"
 #include "sim/calibration.hh"
 
 using namespace vsmooth;
 
 namespace {
 
-/**
- * FNV-1a digest of this executable's bytes. Each 64 KiB chunk is
- * hashed, then the chunk digests, so the file is never held in memory
- * whole. Empty when the executable cannot be read.
- */
-std::string
-executableHash()
-{
-    std::ifstream in("/proc/self/exe", std::ios::binary);
-    std::vector<char> chunk(64 * 1024);
-    std::string digests;
-    while (in) {
-        in.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
-        digests += serve::fnv1aHex(
-            {chunk.data(), static_cast<std::size_t>(in.gcount())});
-    }
-    if (in.bad() || digests.empty())
-        return {};
-    return serve::fnv1aHex(digests);
-}
-
-/**
- * The matrix cache key: the executable hash (it fixes the model, the
- * suite and the Proc3 config) plus the execution path the Results
- * claim. Empty when the executable cannot be hashed.
- */
-std::string
-cacheKey()
-{
-    const std::string exe = executableHash();
-    if (exe.empty())
-        return {};
-    auto env = [](const char *name) {
-        const char *v = std::getenv(name);
-        return std::string(v ? v : "");
-    };
-    return "exe=" + exe + " simd=" + simd::description() +
-        " jobs=" + std::to_string(numJobs()) +
-        " scalar_tick=" + env("VSMOOTH_SCALAR_TICK") +
-        " sampling=" + env("VSMOOTH_SAMPLING");
-}
-
-/** <temp dir>/vsmooth-<uid>/oracle_study.matrix; empty without a
- *  temp dir. */
-std::string
-cachePath()
-{
-    std::error_code ec;
-    const auto tmp = std::filesystem::temp_directory_path(ec);
-    if (ec)
-        return {};
-    return (tmp / ("vsmooth-" + std::to_string(::geteuid())) /
-            "oracle_study.matrix")
-        .string();
-}
-
-/** The Proc3 pre-run, read from the cache when it holds this key. */
+/** The Proc3 pre-run, read from the study's cache when it holds one
+ *  for this executable and execution path. */
 sched::OracleMatrix
 proc3Matrix()
 {
@@ -106,28 +40,18 @@ proc3Matrix()
     cfg.droopMargin = sim::kProc3DroopMargin;
     const auto &suite = workload::specCpu2006();
 
-    const std::string path = cachePath();
-    const std::string key = cacheKey();
-    if (path.empty() || key.empty()) {
-        inform("oracle_study: no usable matrix cache; building");
-        return sched::OracleMatrix(suite, cfg);
-    }
-    sched::CacheOutcome outcome = sched::CacheOutcome::Unusable;
-    auto matrix =
-        sched::OracleMatrix::cached(suite, cfg, path, key, &outcome);
-    switch (outcome) {
-      case sched::CacheOutcome::Hit:
-        inform("oracle_study: matrix read from %s", path.c_str());
-        break;
-      case sched::CacheOutcome::Miss:
-        inform("oracle_study: matrix built, saved to %s", path.c_str());
-        break;
-      case sched::CacheOutcome::Unusable:
-        inform("oracle_study: matrix built; cache %s not usable",
-               path.c_str());
-        break;
-    }
-    return matrix;
+    std::optional<sched::OracleMatrix> matrix;
+    bench::cachedPrerun(
+        "oracle_study",
+        [&](std::istream &is, const std::string &key) {
+            matrix = sched::OracleMatrix::load(is, suite, cfg, key);
+            return matrix.has_value();
+        },
+        [&] { matrix.emplace(suite, cfg); },
+        [&](std::ostream &os, const std::string &key) {
+            return matrix->save(os, key);
+        });
+    return std::move(*matrix);
 }
 
 /**

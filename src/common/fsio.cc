@@ -1,8 +1,14 @@
 #include "fsio.hh"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
+#include <cerrno>
+#include <charconv>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 namespace vsmooth {
@@ -44,6 +50,89 @@ writeFileAtomic(const std::string &path,
         return fail("cannot rename '" + tmp + "' over '" + path + "'");
     }
     return true;
+}
+
+namespace {
+
+/** Create `dir` (0700) if missing; true when it is safe to share a
+ *  cache through: a real directory owned by this user, owner rwx, no
+ *  group or other write permission. */
+bool
+usableCacheDir(const std::filesystem::path &dir)
+{
+    if (::mkdir(dir.c_str(), 0700) != 0 && errno != EEXIST)
+        return false;
+    struct stat st;
+    if (::lstat(dir.c_str(), &st) != 0)
+        return false;
+    return S_ISDIR(st.st_mode) && st.st_uid == ::geteuid() &&
+        (st.st_mode & S_IRWXU) == S_IRWXU &&
+        (st.st_mode & (S_IWGRP | S_IWOTH)) == 0;
+}
+
+} // namespace
+
+CacheOutcome
+loadOrBuild(const std::string &file,
+            const std::function<bool(std::istream &)> &load,
+            const std::function<void()> &build,
+            const std::function<bool(std::ostream &)> &save)
+{
+    if (!usableCacheDir(std::filesystem::path(file).parent_path())) {
+        build();
+        return CacheOutcome::Unusable;
+    }
+    if (std::ifstream in(file, std::ios::binary); in && load(in))
+        return CacheOutcome::Hit;
+    build();
+    return writeFileAtomic(file, save) ? CacheOutcome::Miss
+                                       : CacheOutcome::Unusable;
+}
+
+std::string_view
+Fields::word()
+{
+    const auto begin = rest_.find_first_not_of(' ');
+    if (begin == std::string_view::npos)
+        return {};
+    rest_.remove_prefix(begin);
+    const auto end = std::min(rest_.find(' '), rest_.size());
+    const auto w = rest_.substr(0, end);
+    rest_.remove_prefix(end);
+    return w;
+}
+
+bool
+Fields::next(std::uint64_t &v, int base)
+{
+    const auto w = word();
+    const auto [end, ec] =
+        std::from_chars(w.data(), w.data() + w.size(), v, base);
+    return !w.empty() && ec == std::errc() && end == w.data() + w.size();
+}
+
+bool
+Fields::next(double &v)
+{
+    std::uint64_t bits = 0;
+    if (!next(bits, 16))
+        return false;
+    v = std::bit_cast<double>(bits);
+    return true;
+}
+
+void
+writeField(std::ostream &os, std::uint64_t v, int base)
+{
+    char buf[24];
+    const auto end = std::to_chars(buf, buf + sizeof(buf), v, base).ptr;
+    os << ' ' << std::string_view(buf, static_cast<std::size_t>(end - buf));
+}
+
+void
+writeField(std::ostream &os, double v)
+{
+    writeField(os, std::bit_cast<std::uint64_t>(v), 16);
 }
 
 } // namespace vsmooth

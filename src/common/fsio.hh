@@ -9,14 +9,20 @@
  * reported as unparseable drift. Writing to a temp file in the same
  * directory and rename(2)-ing over the target makes the replacement
  * all-or-nothing.
+ *
+ * loadOrBuild keeps an expensive value in a one-file cache on top of
+ * it, and Fields / writeField are the strict text codec its files use.
  */
 
 #ifndef VSMOOTH_COMMON_FSIO_HH
 #define VSMOOTH_COMMON_FSIO_HH
 
+#include <cstdint>
 #include <functional>
+#include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 namespace vsmooth {
 
@@ -34,6 +40,63 @@ namespace vsmooth {
 bool writeFileAtomic(const std::string &path,
                      const std::function<bool(std::ostream &)> &writer,
                      std::string *error = nullptr);
+
+/** How loadOrBuild() obtained its value. */
+enum class CacheOutcome
+{
+    /** Loaded from the cache file. */
+    Hit,
+    /** Built, then written to the cache file. */
+    Miss,
+    /** Built; the cache directory failed its checks or the write
+     *  failed, so nothing was read or kept. */
+    Unusable,
+};
+
+/**
+ * A value kept in the one-file cache `file`: `load` reads it from the
+ * file and returns true when the file held a usable one; otherwise
+ * `build` makes it and `save` writes it to `file` through
+ * writeFileAtomic, replacing whatever the file held. `load` must
+ * accept only a whole file written for the same inputs.
+ *
+ * The directory holding `file` is created 0700 if missing and used
+ * only if it is a directory (not a symlink) owned by this user, with
+ * owner rwx and no group or other write permission. When it fails that
+ * check, `build` runs and nothing is read or written.
+ */
+CacheOutcome loadOrBuild(const std::string &file,
+                         const std::function<bool(std::istream &)> &load,
+                         const std::function<void()> &build,
+                         const std::function<bool(std::ostream &)> &save);
+
+/**
+ * The space-separated fields of one cache-file line, read strictly:
+ * unsigned integers in full, doubles as the hex bit patterns
+ * writeField() wrote, so every value reads back bit for bit.
+ */
+class Fields
+{
+  public:
+    explicit Fields(std::string_view line) : rest_(line) {}
+
+    /** The next field, or an empty view when none is left. */
+    std::string_view word();
+    /** The next field as an unsigned integer, all of it digits. */
+    bool next(std::uint64_t &v, int base = 10);
+    /** The next field as a double's bit pattern (hex). */
+    bool next(double &v);
+    /** True when no field is left. */
+    bool done() { return word().empty(); }
+
+  private:
+    std::string_view rest_;
+};
+
+/** Append ` <v>` in `base` (Fields::next reads it back). */
+void writeField(std::ostream &os, std::uint64_t v, int base = 10);
+/** Append ` <bit pattern of v in hex>`. */
+void writeField(std::ostream &os, double v);
 
 } // namespace vsmooth
 

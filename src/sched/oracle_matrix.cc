@@ -1,14 +1,6 @@
 #include "oracle_matrix.hh"
 
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <bit>
-#include <cerrno>
-#include <charconv>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string_view>
 
@@ -27,83 +19,6 @@ namespace {
 constexpr std::string_view kFormat = "vsmooth-oracle-matrix 1";
 /** Sanity cap on the margin count a file may declare. */
 constexpr std::uint64_t kMaxMargins = 4096;
-
-/** Whitespace-separated fields of one line, read strictly. */
-class Fields
-{
-  public:
-    explicit Fields(std::string_view line) : rest_(line) {}
-
-    /** The next field, or an empty view when none is left. */
-    std::string_view
-    word()
-    {
-        const auto begin = rest_.find_first_not_of(' ');
-        if (begin == std::string_view::npos)
-            return {};
-        rest_.remove_prefix(begin);
-        const auto end = std::min(rest_.find(' '), rest_.size());
-        const auto w = rest_.substr(0, end);
-        rest_.remove_prefix(end);
-        return w;
-    }
-
-    /** The next field as an unsigned integer, all of it digits. */
-    bool
-    next(std::uint64_t &v, int base = 10)
-    {
-        const auto w = word();
-        const auto [end, ec] =
-            std::from_chars(w.data(), w.data() + w.size(), v, base);
-        return !w.empty() && ec == std::errc() && end == w.data() + w.size();
-    }
-
-    /** The next field as a double's bit pattern (hex). */
-    bool
-    next(double &v)
-    {
-        std::uint64_t bits = 0;
-        if (!next(bits, 16))
-            return false;
-        v = std::bit_cast<double>(bits);
-        return true;
-    }
-
-    bool done() { return word().empty(); }
-
-  private:
-    std::string_view rest_;
-};
-
-void
-writeField(std::ostream &os, std::uint64_t v, int base = 10)
-{
-    char buf[24];
-    const auto end = std::to_chars(buf, buf + sizeof(buf), v, base).ptr;
-    os << ' ' << std::string_view(buf, static_cast<std::size_t>(end - buf));
-}
-
-void
-writeField(std::ostream &os, double v)
-{
-    writeField(os, std::bit_cast<std::uint64_t>(v), 16);
-}
-
-/** Create `dir` (0700) if missing; true when it is safe to share a
- *  cache through: a real directory owned by this user, owner rwx, no
- *  group or other write permission. */
-bool
-usableCacheDir(const std::filesystem::path &dir)
-{
-    if (::mkdir(dir.c_str(), 0700) != 0 && errno != EEXIST)
-        return false;
-    struct stat st;
-    if (::lstat(dir.c_str(), &st) != 0)
-        return false;
-    return S_ISDIR(st.st_mode) && st.st_uid == ::geteuid() &&
-        (st.st_mode & S_IRWXU) == S_IRWXU &&
-        (st.st_mode & (S_IWGRP | S_IWOTH)) == 0;
-}
 
 } // namespace
 
@@ -177,32 +92,6 @@ OracleMatrix::OracleMatrix(
                                     task.j, task.idleSecond);
         }
     });
-}
-
-OracleMatrix
-OracleMatrix::cached(const std::vector<workload::SpecBenchmark> &suite,
-                     const OracleConfig &cfg, const std::string &file,
-                     const std::string &key, CacheOutcome *outcome)
-{
-    auto report = [&](CacheOutcome o) {
-        if (outcome)
-            *outcome = o;
-    };
-    if (!usableCacheDir(std::filesystem::path(file).parent_path())) {
-        report(CacheOutcome::Unusable);
-        return OracleMatrix(suite, cfg);
-    }
-    if (std::ifstream in(file, std::ios::binary); in) {
-        if (auto loaded = load(in, suite, cfg, key)) {
-            report(CacheOutcome::Hit);
-            return std::move(*loaded);
-        }
-    }
-    OracleMatrix built(suite, cfg);
-    const bool saved = writeFileAtomic(
-        file, [&](std::ostream &os) { return built.save(os, key); });
-    report(saved ? CacheOutcome::Miss : CacheOutcome::Unusable);
-    return built;
 }
 
 bool

@@ -9,7 +9,7 @@
  * matrix. OracleMatrix performs that pre-run phase with the full
  * simulation stack and caches the results. A matrix can also be saved
  * to a file and loaded back bit for bit, so several processes can
- * share one pre-run (cached()).
+ * share one pre-run (see common/fsio's loadOrBuild).
  */
 
 #ifndef VSMOOTH_SCHED_ORACLE_MATRIX_HH
@@ -58,18 +58,6 @@ struct OracleConfig
     bool alignedSelfPairs = false;
 };
 
-/** How OracleMatrix::cached() obtained its matrix. */
-enum class CacheOutcome
-{
-    /** Loaded from the cache file. */
-    Hit,
-    /** Built, then written to the cache file. */
-    Miss,
-    /** Built; the cache directory failed its checks or the write
-     *  failed, so nothing was read or kept. */
-    Unusable,
-};
-
 /** The NxN pair-profile matrix over a benchmark suite. */
 class OracleMatrix
 {
@@ -82,24 +70,6 @@ class OracleMatrix
      */
     OracleMatrix(const std::vector<workload::SpecBenchmark> &suite,
                  const OracleConfig &cfg);
-
-    /**
-     * The matrix for (suite, cfg) through a one-file cache: loaded
-     * from `file` when it holds a matrix saved under exactly `key`,
-     * else built by the constructor and written there atomically,
-     * replacing whatever the file held. `key` (one line) must name
-     * everything the profiles depend on besides the suite size.
-     *
-     * The directory holding `file` is created 0700 if missing and used
-     * only if it is a directory (not a symlink) owned by this user,
-     * with owner rwx and no group or other write permission. When it
-     * fails that check, or the write fails, the built matrix is still
-     * returned.
-     */
-    static OracleMatrix cached(
-        const std::vector<workload::SpecBenchmark> &suite,
-        const OracleConfig &cfg, const std::string &file,
-        const std::string &key, CacheOutcome *outcome = nullptr);
 
     /**
      * Stream the profiles in load()'s format, headed by `key`: the

@@ -33,18 +33,19 @@ experimentRegistry()
     // (fig12), parallel sweeps (fig12, fig15, ablation_core_scaling,
     // so jobs-invariance is exercised end-to-end), and the
     // sliding-window scheduler (fig16).
-    // Fig 17-19 and Table I share one oracle pre-run, so one binary,
-    // oracle_study, emits all four Results.
+    // Fig 7-10 share four workload populations, and Fig 17-19 and
+    // Table I one oracle pre-run, so one study binary emits each
+    // group's four Results.
     static const std::vector<ExperimentInfo> registry = {
         {"fig01_future_swings", true},
         {"fig02_margin_frequency", true},
         {"fig04_impedance", true},
         {"fig05_reset_droops", true},
         {"fig06_decap_swings", true},
-        {"fig07_voltage_cdf", false},
-        {"fig08_typical_case", false},
-        {"fig09_future_cdf", false},
-        {"fig10_heatmaps", false},
+        {"fig07_voltage_cdf", false, "population_study"},
+        {"fig08_typical_case", false, "population_study"},
+        {"fig09_future_cdf", false, "population_study"},
+        {"fig10_heatmaps", false, "population_study"},
         {"fig11_tlb_overshoot", false},
         {"fig12_event_swings", true},
         {"fig13_interference", false},

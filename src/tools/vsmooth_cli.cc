@@ -354,6 +354,9 @@ cmdVerify(int argc, char **argv)
         } else if (arg == "--work-dir") {
             opt.workDir = next();
         } else if (arg == "--experiments") {
+            // Every entry must name an experiment: an empty list or
+            // entry would otherwise read as "no list given" and check
+            // (or, under --update, rewrite) the default subset.
             std::string list = next();
             std::size_t start = 0;
             while (start <= list.size()) {
@@ -361,8 +364,11 @@ cmdVerify(int argc, char **argv)
                 const std::string name = list.substr(
                     start, comma == std::string::npos ? std::string::npos
                                                       : comma - start);
-                if (!name.empty())
-                    opt.experiments.push_back(name);
+                if (name.empty())
+                    fatal("--experiments needs comma-separated experiment"
+                          " names, got '%s'",
+                          list.c_str());
+                opt.experiments.push_back(name);
                 if (comma == std::string::npos)
                     break;
                 start = comma + 1;

@@ -108,6 +108,29 @@ TEST(CliErrors, VerifyUnknownExperiment)
     EXPECT_NE(r.output.find("--list"), std::string::npos);
 }
 
+TEST(CliErrors, VerifyEmptyExperimentList)
+{
+    // An empty list, or an empty entry, names no experiment: it must
+    // not fall back to the default subset, nor rewrite its goldens
+    // under --update.
+    const auto bench = scratchDir("verify_empty_bench");
+    const auto golden = scratchDir("verify_empty_golden");
+    writeFakeExperiment(bench, "fig04_impedance");
+    for (const char *list : {"\"\"", ",", "fig04_impedance,"}) {
+        for (const char *update : {"", " --update"}) {
+            SCOPED_TRACE(std::string(list) + update);
+            const auto r = runCli(std::string("verify") + update +
+                                  " --bench-dir " + bench.string() +
+                                  " --golden-dir " + golden.string() +
+                                  " --experiments " + list);
+            EXPECT_EQ(r.exitCode, 1) << r.output;
+            EXPECT_NE(r.output.find("--experiments"), std::string::npos)
+                << r.output;
+            EXPECT_TRUE(fs::is_empty(golden));
+        }
+    }
+}
+
 TEST(CliErrors, VerifyMissingBenchBinary)
 {
     const auto bench = scratchDir("verify_nobin_bench");
