@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -147,7 +146,6 @@ runPopulation(Cycles cyclesPerRun, double decapFraction,
     };
 
     std::vector<RunResult> results(total);
-    std::vector<sim::SamplingReport> reports(total);
     runLanedSweep(
         total,
         [&](std::size_t t) {
@@ -165,7 +163,6 @@ runPopulation(Cycles cyclesPerRun, double decapFraction,
         },
         [&](std::size_t t, sim::System &sys) {
             results[t] = resultFrom(sys);
-            reports[t] = sys.samplingReport();
         });
 
     // Merge after the join, in index order.
@@ -174,8 +171,6 @@ runPopulation(Cycles cyclesPerRun, double decapFraction,
         pop.emergencies.merge(r.emergencies);
         ++pop.runs;
     }
-    for (const auto &rep : reports)
-        pop.sampling.merge(rep);
     return pop;
 }
 
@@ -184,17 +179,6 @@ namespace {
 constexpr std::string_view kPopulationFormat = "vsmooth-population 1";
 /** Sanity cap on the margin count a file may declare. */
 constexpr std::uint64_t kMaxMargins = 4096;
-
-/** A sampling report's bounds, in file order. */
-template <typename Report>
-auto
-boundFields(Report &r)
-{
-    return std::array{&r.maxDroopBound,        &r.maxOvershootBound,
-                      &r.eventCountBound,      &r.deepestEventBound,
-                      &r.timelineElementBound, &r.coreInstructionBound,
-                      &r.coreStallCycleBound,  &r.histFractionBound};
-}
 
 } // namespace
 
@@ -228,14 +212,6 @@ Population::save(std::ostream &os, const std::string &key,
             writeField(os, m);
         for (std::uint64_t c : e.counts)
             writeField(os, c);
-        const auto &r = pop.sampling;
-        os << "\nsampling";
-        writeField(os, std::uint64_t{r.active});
-        writeField(os, r.simulatedCycles);
-        writeField(os, r.extrapolatedCycles);
-        writeField(os, r.skips);
-        for (const double *b : boundFields(r))
-            writeField(os, *b);
         os << "\n";
     }
     os << "end\n";
@@ -303,22 +279,7 @@ Population::load(std::istream &is, const std::string &key,
         for (auto &c : e.counts)
             if (!em->next(c))
                 return false;
-        if (!em->done())
-            return false;
-
-        auto &r = pop.sampling;
-        std::uint64_t active = 0;
-        auto sampling = labelled("sampling");
-        if (!sampling || !sampling->next(active) || active > 1 ||
-            !sampling->next(r.simulatedCycles) ||
-            !sampling->next(r.extrapolatedCycles) ||
-            !sampling->next(r.skips))
-            return false;
-        r.active = active == 1;
-        for (double *b : boundFields(r))
-            if (!sampling->next(*b))
-                return false;
-        return sampling->done();
+        return em->done();
     };
     for (auto &pop : pops)
         if (!readPopulation(pop))
@@ -371,8 +332,7 @@ cacheKey()
     };
     return "exe=" + exe + " simd=" + simd::description() +
         " jobs=" + std::to_string(numJobs()) +
-        " scalar_tick=" + env("VSMOOTH_SCALAR_TICK") +
-        " sampling=" + env("VSMOOTH_SAMPLING");
+        " scalar_tick=" + env("VSMOOTH_SCALAR_TICK");
 }
 
 /** <temp dir>/vsmooth-<uid>/<study>.cache; empty without a temp dir. */
@@ -431,19 +391,6 @@ makeResult(std::string experiment, std::uint64_t seed)
     r.setGitDescribe(VSMOOTH_GIT_DESCRIBE);
     r.setSimd(simd::description());
     return r;
-}
-
-void
-stampSampling(Result &r, const sim::SamplingReport &report,
-              std::vector<std::pair<std::string, double>> bounds)
-{
-    if (!report.active)
-        return;
-    ResultSampling s;
-    s.mode = "auto";
-    s.simulatedFraction = report.simulatedFraction();
-    s.bounds = std::move(bounds);
-    r.setSampling(std::move(s));
 }
 
 void

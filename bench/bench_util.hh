@@ -108,15 +108,12 @@ struct Population
     noise::Scope scope;
     resilience::EmergencyProfile emergencies;
     std::size_t runs = 0;
-    /** Merged sampled-execution report over all runs (inactive when
-     *  every run executed exactly — the default). */
-    sim::SamplingReport sampling;
 
     /**
      * Stream `pops` in load()'s format, headed by `key`: per
-     * population its run count, the scope histogram's exact state,
-     * the emergency profile and the sampling report, doubles as their
-     * bit patterns. Returns false on a stream error.
+     * population its run count, the scope histogram's exact state and
+     * the emergency profile, doubles as their bit patterns. Returns
+     * false on a stream error.
      */
     static bool save(std::ostream &os, const std::string &key,
                      const std::vector<Population> &pops);
@@ -139,11 +136,11 @@ Population runPopulation(Cycles cyclesPerRun, double decapFraction,
  * processes share it through the file <temp dir>/vsmooth-<uid>/
  * <study>.cache. Its key hashes this executable's bytes and names the
  * execution path the Results claim (SIMD level, job count, raw
- * VSMOOTH_SCALAR_TICK and VSMOOTH_SAMPLING), so any rebuild, or a run
- * on another path, misses. `load` reads a pre-run saved under the
- * given key and returns true; otherwise `build` runs the pre-run and
- * `save` writes it under that key (common/fsio's loadOrBuild). Says on
- * stderr, under the study's name, whether it was built or read.
+ * VSMOOTH_SCALAR_TICK), so any rebuild, or a run on another path,
+ * misses. `load` reads a pre-run saved under the given key and
+ * returns true; otherwise `build` runs the pre-run and `save` writes
+ * it under that key (common/fsio's loadOrBuild). Says on stderr,
+ * under the study's name, whether it was built or read.
  */
 void cachedPrerun(
     const std::string &study,
@@ -157,17 +154,6 @@ void cachedPrerun(
  * --jobs), and the git revision of the producing build.
  */
 Result makeResult(std::string experiment, std::uint64_t seed = 1);
-
-/**
- * Attach sampled-execution metadata to a Result when the report says
- * sampling was active (a no-op otherwise, so default exact runs keep
- * their goldens byte-stable): the mode, the realized simulated
- * fraction, and the caller-supplied (metric-name, absolute-bound)
- * annotations mapping the report's generic bounds onto the
- * experiment's own metric/series names and units.
- */
-void stampSampling(Result &r, const sim::SamplingReport &report,
-                   std::vector<std::pair<std::string, double>> bounds);
 
 /**
  * Emit a Result as JSON alongside the text tables, to

@@ -36,9 +36,6 @@ droopTimeline(const workload::SpecBenchmark &bench)
     sim::SystemConfig cfg;
     cfg.enableTimeline = true;
     cfg.timelineInterval = 100'000; // the paper's 60 s, scaled
-    // Always exact, even under VSMOOTH_SAMPLING=auto: the figure
-    // stamps no sampling bounds.
-    cfg.sampling.mode = sim::SamplingConfig::Mode::Off;
     sim::System sys(cfg);
     sys.addCore(std::make_unique<cpu::FastCore>(
         workload::scheduleFor(bench, 2'000'000), 11));

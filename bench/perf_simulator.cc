@@ -442,57 +442,6 @@ BENCHMARK(BM_OracleMatrixLaned)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-/**
- * Long-horizon population sweep under phase-sampled execution.
- * Arg = sampling mode (0 = exact, 1 = auto); 4 single-benchmark
- * systems x 30M cycles = 120M simulated cycles per iteration, on one
- * worker thread so the ratio isolates the sampling gain. Items are
- * simulated cycles; the off vs auto items_per_second ratio is the
- * sampled-execution speedup BENCH_pr6.json records. The workloads
- * are the suite's long flat phases — the stationary stretches the
- * sampler exists to fast-forward (phase-rich workloads degrade
- * gracefully toward exact execution and are covered by the fuzz
- * property, not this throughput figure).
- */
-void
-BM_PopulationSampled(benchmark::State &state)
-{
-    setenv("VSMOOTH_SAMPLING", state.range(0) == 0 ? "off" : "auto", 1);
-    setJobs(1);
-    constexpr const char *kBenchmarks[] = {"sphinx", "lbm", "hmmer",
-                                           "gemsfdtd"};
-    constexpr std::size_t kRuns = 4;
-    constexpr Cycles kCycles = 30'000'000;
-    for (auto _ : state) {
-        for (std::size_t t = 0; t < kRuns; ++t) {
-            // Default (uncompressed) OS-tick cadence: at this horizon
-            // the real 1.86M-cycle interval is the representative
-            // configuration — the compressed bench-run tick would cap
-            // every fast-forward at its next injection.
-            sim::SystemConfig cfg;
-            sim::System sys(cfg);
-            const std::uint64_t seed = 1 + 17ULL * (t + 1);
-            sys.addCore(std::make_unique<cpu::FastCore>(
-                workload::scheduleFor(
-                    workload::specByName(kBenchmarks[t]), kCycles,
-                    true),
-                seed + 1));
-            sys.addCore(std::make_unique<cpu::FastCore>(
-                workload::idleSchedule(1000), seed + 2));
-            sys.run(kCycles);
-            benchmark::DoNotOptimize(sys.scope().maxDroop());
-        }
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(kRuns * kCycles));
-    unsetenv("VSMOOTH_SAMPLING");
-    setJobs(0);
-}
-BENCHMARK(BM_PopulationSampled)
-    ->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
 void
 BM_ImpedancePoint(benchmark::State &state)
 {

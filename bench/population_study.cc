@@ -90,16 +90,6 @@ fig07(const bench::Population &pop)
     result.metric("max_droop_pct", pop.scope.maxDroop() * 100);
     result.metric("max_overshoot_pct", pop.scope.maxOvershoot() * 100);
     result.metric("beyond_4pct_pct", beyond * 100);
-    // Under VSMOOTH_SAMPLING=auto the population is extrapolated;
-    // annotate each affected metric with its absolute error bound
-    // (in the metric's own percent units) so verify tolerates the
-    // bounded deviation instead of demanding bit-identity.
-    bench::stampSampling(
-        result, pop.sampling,
-        {{"max_droop_pct", pop.sampling.maxDroopBound * 100},
-         {"max_overshoot_pct", pop.sampling.maxOvershootBound * 100},
-         {"beyond_4pct_pct", pop.sampling.histFractionBound * 100},
-         {"cdf_fraction_below", pop.sampling.histFractionBound}});
     bench::emitResult(result);
     std::cout << "\nRuns aggregated: " << pop.runs << "\n"
               << "Max droop: "

@@ -123,24 +123,6 @@ Histogram::merge(const Histogram &other)
 }
 
 void
-Histogram::mergeScaled(const Histogram &other, std::uint64_t weight)
-{
-    if (other.counts_.size() != counts_.size() || other.lo_ != lo_ ||
-        other.hi_ != hi_) {
-        panic("Histogram::mergeScaled: incompatible layouts");
-    }
-    if (weight == 0)
-        return;
-    for (std::size_t i = 0; i < counts_.size(); ++i)
-        counts_[i] += other.counts_[i] * weight;
-    total_ += other.total_ * weight;
-    underflow_ += other.underflow_ * weight;
-    overflow_ += other.overflow_ * weight;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-}
-
-void
 Histogram::clear()
 {
     std::fill(counts_.begin(), counts_.end(), 0);

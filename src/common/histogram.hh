@@ -62,20 +62,6 @@ class Histogram
     void add(double x, std::uint64_t count);
 
     /**
-     * Weighted add: exactly `weight` copies of x, with weight 0 a
-     * strict no-op (no min/max update — a zero-mass sample was never
-     * observed). Total mass grows by exactly `weight`, so repeated
-     * addScaled calls conserve sample counts bit-exactly.
-     */
-    void
-    addScaled(double x, std::uint64_t weight)
-    {
-        if (weight == 0)
-            return;
-        add(x, weight);
-    }
-
-    /**
      * Add a block of samples: the same per-sample arithmetic as add()
      * with the range bounds, reciprocal bin width, and min/max
      * tracking hoisted into locals for the duration of the block.
@@ -84,16 +70,6 @@ class Histogram
 
     /** Merge a compatible histogram (same lo/hi/bins). */
     void merge(const Histogram &other);
-
-    /**
-     * Merge `weight` copies of a compatible histogram: every bin,
-     * the under/overflow tails, and the total grow by exactly
-     * weight * other's count, so mass is conserved with integer
-     * arithmetic (no rounding). Min/max merge like merge() — the
-     * extremes of a scaled copy are the extremes of the original —
-     * except that weight 0 merges nothing at all.
-     */
-    void mergeScaled(const Histogram &other, std::uint64_t weight);
 
     /** Reset all counts. */
     void clear();
@@ -111,8 +87,6 @@ class Histogram
 
     std::uint64_t totalCount() const { return total_; }
     std::size_t numBins() const { return counts_.size(); }
-    double lowerEdge() const { return lo_; }
-    double upperEdge() const { return hi_; }
     /** Samples below the binned range (counted, never binned). */
     std::uint64_t underflowCount() const { return underflow_; }
     /** Samples at or above the binned range. */

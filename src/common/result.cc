@@ -1,6 +1,5 @@
 #include "result.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -113,16 +112,6 @@ Result::toJson() const
     // (and their round-trip tests) byte-stable.
     if (!simd_.empty())
         j.set("simd", simd_);
-    if (hasSampling_) {
-        Json sj = Json::object();
-        sj.set("mode", sampling_.mode);
-        sj.set("simulated_fraction", Json(sampling_.simulatedFraction));
-        Json bj = Json::object();
-        for (const auto &[n, b] : sampling_.bounds)
-            bj.set(n, Json(b));
-        sj.set("bounds", std::move(bj));
-        j.set("sampling", std::move(sj));
-    }
     Json m = Json::object();
     for (const auto &[n, v] : metrics_) {
         if (hasCount(n))
@@ -172,27 +161,6 @@ Result::fromJson(const Json &j, Result &out, std::string *error)
     }
     if (const Json *simd = j.find("simd"); simd && simd->isString())
         out.setSimd(simd->asString());
-    if (const Json *sj = j.find("sampling")) {
-        if (!sj->isObject())
-            return fail("'sampling' is not an object");
-        ResultSampling s;
-        if (const Json *m = sj->find("mode"); m && m->isString())
-            s.mode = m->asString();
-        const Json *frac = sj->find("simulated_fraction");
-        if (!frac || !frac->isNumber())
-            return fail("'sampling' lacks numeric 'simulated_fraction'");
-        s.simulatedFraction = frac->asNumber();
-        const Json *bj = sj->find("bounds");
-        if (!bj || !bj->isObject())
-            return fail("'sampling' lacks object 'bounds'");
-        for (const auto &[name, v] : bj->asObject()) {
-            if (!v.isNumber())
-                return fail("sampling bound '" + name +
-                            "' is not a number");
-            s.bounds.emplace_back(name, v.asNumber());
-        }
-        out.setSampling(std::move(s));
-    }
     if (const Json *m = j.find("metrics")) {
         if (!m->isObject())
             return fail("'metrics' is not an object");
@@ -308,60 +276,6 @@ compareResults(const Result &golden, const Result &actual,
         return nullptr;
     };
 
-    // Sampled-execution bound annotations: a bound-annotated metric
-    // (or series) is tolerance-checked with abs = the largest declared
-    // bound and rel = 0 instead of exactly. The annotations themselves
-    // are validated structurally first — a non-finite bound, a bound
-    // naming nothing, or a non-finite simulated fraction means the
-    // producer is broken, and must not silently widen (or skip) the
-    // comparison.
-    auto boundFor = [](const Result &r,
-                       std::string_view name) -> const double * {
-        if (!r.hasSampling())
-            return nullptr;
-        for (const auto &[n, b] : r.sampling().bounds) {
-            if (n == name)
-                return &b;
-        }
-        return nullptr;
-    };
-    for (const auto *r : {&golden, &actual}) {
-        if (!r->hasSampling())
-            continue;
-        const char *side = r == &golden ? "golden" : "actual";
-        const ResultSampling &s = r->sampling();
-        if (!std::isfinite(s.simulatedFraction)) {
-            structural(std::string("sampling.simulated_fraction (") +
-                           side + ")",
-                       "non-finite simulated fraction");
-        }
-        for (const auto &[n, b] : s.bounds) {
-            if (!std::isfinite(b)) {
-                structural("sampling.bounds." + n + " (" + side + ")",
-                           "non-finite error bound");
-            }
-            if (!r->hasMetric(n) && !findSeries(*r, n)) {
-                structural("sampling.bounds." + n + " (" + side + ")",
-                           "bound annotates no metric or series");
-            }
-        }
-    }
-    auto boundBroken = [&](std::string_view name) {
-        const double *gb = boundFor(golden, name);
-        const double *ab = boundFor(actual, name);
-        return (gb && !std::isfinite(*gb)) ||
-            (ab && !std::isfinite(*ab));
-    };
-    auto widenForBounds = [&](std::string_view name, Tolerance tol) {
-        const double *gb = boundFor(golden, name);
-        const double *ab = boundFor(actual, name);
-        if (!gb && !ab)
-            return tol;
-        tol.abs = std::max({tol.abs, gb ? *gb : 0.0, ab ? *ab : 0.0});
-        tol.rel = 0.0;
-        return tol;
-    };
-
     for (const auto &[name, gv] : golden.metrics()) {
         ++report.checked;
         if (!actual.hasMetric(name)) {
@@ -374,20 +288,14 @@ compareResults(const Result &golden, const Result &actual,
             structural(name, note);
             continue;
         }
-        if (boundBroken(name))
-            continue; // its structural failure is already recorded
         if (golden.hasCount(name) && actual.hasCount(name)) {
             // Exact 64-bit comparison: equal or fail, unless an
-            // explicit tolerance or sampling bound widens it — then
-            // the band applies to the exact integer difference (the
-            // doubles would already have collapsed distinct counts
-            // above 2^53 into "equal").
+            // explicit tolerance widens it — then the band applies to
+            // the exact integer difference (the doubles would already
+            // have collapsed distinct counts above 2^53 into "equal").
             const std::uint64_t gc = golden.countValue(name);
             const std::uint64_t ac = actual.countValue(name);
-            const bool widened =
-                hasExplicitTolerance(name, goldenTolerances) ||
-                boundFor(golden, name) || boundFor(actual, name);
-            if (!widened) {
+            if (!hasExplicitTolerance(name, goldenTolerances)) {
                 if (gc != ac) {
                     MetricDiff d;
                     d.name = name;
@@ -402,8 +310,8 @@ compareResults(const Result &golden, const Result &actual,
                 continue;
             }
             const std::uint64_t delta = gc > ac ? gc - ac : ac - gc;
-            const Tolerance tol = widenForBounds(
-                name, toleranceFor(name, goldenTolerances, fallback));
+            const Tolerance tol =
+                toleranceFor(name, goldenTolerances, fallback);
             if (static_cast<double>(delta) >
                 tol.abs + tol.rel * static_cast<double>(gc)) {
                 report.diffs.push_back({name, gv, av, ""});
@@ -411,11 +319,8 @@ compareResults(const Result &golden, const Result &actual,
             }
             continue;
         }
-        if (!withinTolerance(gv, av,
-                             widenForBounds(
-                                 name, toleranceFor(name,
-                                                    goldenTolerances,
-                                                    fallback)))) {
+        if (!withinTolerance(gv, av, toleranceFor(name, goldenTolerances,
+                                                  fallback))) {
             report.diffs.push_back({name, gv, av, ""});
             report.pass = false;
         }
@@ -440,10 +345,8 @@ compareResults(const Result &golden, const Result &actual,
                                  std::to_string(gvs.size()));
             continue;
         }
-        if (boundBroken(name))
-            continue; // its structural failure is already recorded
-        const Tolerance tol = widenForBounds(
-            name, toleranceFor(name, goldenTolerances, fallback));
+        const Tolerance tol =
+            toleranceFor(name, goldenTolerances, fallback);
         for (std::size_t i = 0; i < gvs.size(); ++i) {
             const std::string elem = name + "[" + std::to_string(i) +
                 "]";

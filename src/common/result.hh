@@ -26,22 +26,6 @@
 
 namespace vsmooth {
 
-/**
- * Sampled-execution metadata attached to a Result: how the run was
- * produced ("auto"), what fraction of its cycles were simulated at
- * full fidelity, and per-metric absolute error bounds. A bounds entry
- * names a metric (or series) of the same Result; compareResults
- * treats bound-annotated names as tolerance-checked (abs = bound,
- * rel = 0) instead of exact, and fails structurally on a bound that
- * is non-finite or names nothing.
- */
-struct ResultSampling
-{
-    std::string mode = "auto";
-    double simulatedFraction = 1.0;
-    std::vector<std::pair<std::string, double>> bounds;
-};
-
 /** One experiment's machine-readable outcome. */
 class Result
 {
@@ -73,18 +57,6 @@ class Result
     const std::string &simd() const { return simd_; }
     void setSimd(std::string s) { simd_ = std::move(s); }
 
-    /** Sampled-execution metadata (absent unless the producing run
-     *  used sampling; absent results serialize without the key, so
-     *  pre-existing goldens stay byte-stable). */
-    bool hasSampling() const { return hasSampling_; }
-    const ResultSampling &sampling() const { return sampling_; }
-    void
-    setSampling(ResultSampling s)
-    {
-        sampling_ = std::move(s);
-        hasSampling_ = true;
-    }
-
     /** Append (or overwrite) a named scalar metric. */
     void metric(std::string_view name, double value);
     /**
@@ -92,8 +64,8 @@ class Result
      * totals, histogram masses, event counts. Serializes as an
      * integer JSON token (lossless above 2^53, where a double metric
      * silently rounds) and compares exactly in compareResults unless
-     * an explicit tolerance or sampling bound widens it. Also visible
-     * through metricValue()/metrics() as a (possibly rounded) double.
+     * an explicit tolerance widens it. Also visible through
+     * metricValue()/metrics() as a (possibly rounded) double.
      */
     void metricCount(std::string_view name, std::uint64_t value);
     /** Append (or overwrite) a named numeric series. */
@@ -125,8 +97,6 @@ class Result
     std::string simd_;
     std::uint64_t seed_ = 1;
     std::uint64_t jobs_ = 1;
-    bool hasSampling_ = false;
-    ResultSampling sampling_;
     std::vector<std::pair<std::string, double>> metrics_;
     /** Exact values of the metrics that are integer counts (each name
      *  also appears in metrics_ with the rounded double). */
@@ -173,9 +143,9 @@ struct CompareReport
  * A metric that is an exact count on both sides is compared as 64-bit
  * integers: equal or fail, with no fallback tolerance (rel = 1e-6 on
  * a 1e9-cycle counter would silently allow a drift of 1000 events).
- * An explicit golden tolerance entry or a sampled-execution bound
- * still widens a count comparison, applied to the exact integer
- * difference.
+ * An explicit golden tolerance entry still widens a count
+ * comparison, applied to the exact integer difference. Unknown
+ * top-level keys of either document are ignored.
  */
 CompareReport compareResults(const Result &golden, const Result &actual,
                              const Json *goldenTolerances = nullptr,

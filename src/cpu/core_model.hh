@@ -23,16 +23,6 @@
 
 namespace vsmooth::cpu {
 
-/** Extrapolated work credited to a core by a sampled-execution skip:
- *  counter deltas measured over a representative window, scaled by
- *  the number of skipped window replays. */
-struct SkipCounters
-{
-    std::uint64_t instructions = 0;
-    std::array<std::uint64_t, PerfCounters::kNumCauses> stallCycles{};
-    std::array<std::uint64_t, PerfCounters::kNumCauses> events{};
-};
-
 /** Abstract cycle-stepped core. */
 class CoreModel
 {
@@ -72,31 +62,6 @@ class CoreModel
      * default forces cycle-by-cycle finish checks.
      */
     virtual Cycles minTicksUntilFinished() const { return 0; }
-
-    /**
-     * How many future cycles the sampled-execution engine may skip
-     * over without this core crossing a behavioral boundary (phase
-     * change, workload completion). 0 — the default — means the core
-     * does not support skipping, which disables sampling-driven
-     * fast-forward whenever such a core is present. The all-ones
-     * Cycles means unbounded (statistically self-similar forever).
-     */
-    virtual Cycles skippableCycles() const { return 0; }
-
-    /**
-     * Fast-forward `n` cycles (n <= skippableCycles() at the time of
-     * the call), crediting the extrapolated counter deltas in `c`.
-     * Internal stochastic state (RNG streams, in-flight stall events)
-     * must be left untouched — the core resumes from a valid sample
-     * of its stationary state. Only called on cores that advertise a
-     * nonzero skippableCycles(), so the default need not support it.
-     */
-    virtual void
-    skipAhead(Cycles n, const SkipCounters &c)
-    {
-        (void)n;
-        (void)c;
-    }
 
     /** Performance counters accumulated so far. */
     virtual const PerfCounters &counters() const = 0;

@@ -328,43 +328,6 @@ FastCore::minTicksUntilFinished() const
     return remaining + 1;
 }
 
-Cycles
-FastCore::skippableCycles() const
-{
-    if (done_)
-        return 0;
-    if (schedule_.loop && schedule_.phases.size() == 1) {
-        // A single looping phase is statistically self-similar across
-        // its own boundary: re-entering it resets no observable state
-        // beyond redrawing the (memoryless) event countdown, so the
-        // sampler may skip arbitrarily far.
-        return ~Cycles(0);
-    }
-    // Stay strictly inside the current phase: the boundary tick (the
-    // one entered with cyclesIntoPhase_ == duration) changes the
-    // activity process and must be simulated exactly.
-    return phaseDuration_ - cyclesIntoPhase_;
-}
-
-void
-FastCore::skipAhead(Cycles n, const SkipCounters &c)
-{
-    if (done_ || n == 0)
-        return;
-    if (cyclesIntoPhase_ + n <= phaseDuration_) {
-        cyclesIntoPhase_ += n;
-    } else {
-        // Only reachable for a single looping phase (see
-        // skippableCycles): positions repeat with period `duration`,
-        // the re-entry tick mapping to position 1. The phase's cached
-        // scalars are already current and the RNG stream is left
-        // untouched — the stretch the skip replays already consumed
-        // its draws.
-        cyclesIntoPhase_ = (cyclesIntoPhase_ + n - 1) % phaseDuration_ + 1;
-    }
-    counters_.addExtrapolated(n, c.instructions, c.stallCycles, c.events);
-}
-
 void
 FastCore::injectRecoveryStall(std::uint32_t cycles)
 {

@@ -92,8 +92,6 @@ class FastCore : public CoreModel
     void injectPlatformInterrupt() override;
     bool finished() const override;
     Cycles minTicksUntilFinished() const override;
-    Cycles skippableCycles() const override;
-    void skipAhead(Cycles n, const SkipCounters &c) override;
 
     /** Index of the phase currently executing. */
     std::size_t currentPhaseIndex() const { return phaseIdx_; }

@@ -77,27 +77,6 @@ class PerfCounters
             ++events_[static_cast<std::size_t>(cause)];
     }
 
-    /**
-     * Account an extrapolated fast-forward (sampled execution): the
-     * core really advances `cycles` clock cycles, while the work done
-     * in them — instructions, per-cause stall cycles and event starts
-     * — is credited from a scaled representative window rather than
-     * simulated. Cycle totals stay exact; the credited quantities
-     * carry the sampler's error bounds.
-     */
-    void
-    addExtrapolated(std::uint64_t cycles, std::uint64_t instructions,
-                    const std::array<std::uint64_t, kNumCauses> &stalls,
-                    const std::array<std::uint64_t, kNumCauses> &events)
-    {
-        cycles_ += cycles;
-        instructions_ += instructions;
-        for (std::size_t c = 0; c < kNumCauses; ++c) {
-            stallCycles_[c] += stalls[c];
-            events_[c] += events[c];
-        }
-    }
-
     std::uint64_t cycles() const { return cycles_; }
     std::uint64_t instructions() const { return instructions_; }
 

@@ -5,7 +5,7 @@
  * scalar, AVX2). Each kernel is the blended — branchless — counterpart
  * of the matching sample kernel in dsp/primitives.hh: conditional
  * stages compute both sides and select per lane, which yields the
- * same result bits for finite inputs (DESIGN.md §12 states the full
+ * same result bits for finite inputs (DESIGN.md §11 states the full
  * equivalence argument per primitive). Masks are V values
  * (all-ones / all-zeros lanes) produced by gtMask/ltMask and consumed
  * only by blend — they never enter arithmetic.

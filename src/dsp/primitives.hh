@@ -5,7 +5,7 @@
  * (one-pole), slew limiting, the second-order PDN step (biquad
  * recurrence), VRM ripple, and the mitigation ramp — extracted as
  * constexpr-capable, zero-allocation, sample-accurate block
- * processors (DESIGN.md §12).
+ * processors (DESIGN.md §11).
  *
  * Contract, shared by every primitive here:
  *

@@ -59,22 +59,9 @@ class DroopDetector
         return false;
     }
 
-    /**
-     * Credit `n` events that were extrapolated rather than observed
-     * (sampled execution fast-forwarding a stationary stretch). The
-     * hysteresis state and the deepest-event tracker are deliberately
-     * untouched: the skipped stretch is a statistical replay of an
-     * already-simulated window, so its extremes were already seen and
-     * the in/out-of-event state at the skip boundary stays whatever
-     * the last real sample left it.
-     */
-    void addExtrapolatedEvents(std::uint64_t n) { events_ += n; }
-
     std::uint64_t eventCount() const { return events_; }
     bool inEvent() const { return inEvent_; }
     double margin() const { return -threshold_; }
-    /** The (negative) deviation level that ends an event. */
-    double releaseLevel() const { return release_; }
     /** Deepest deviation of any completed event (<= 0). */
     double deepestEvent() const { return deepest_; }
 
@@ -140,10 +127,6 @@ class DroopDetectorBank
             feed(d);
         }
     }
-
-    /** Credit extrapolated events to detector i (sampled execution). */
-    void addExtrapolatedEvents(std::size_t i, std::uint64_t n)
-    { detectors_.at(i).addExtrapolatedEvents(n); }
 
     std::size_t size() const { return detectors_.size(); }
     const DroopDetector &detector(std::size_t i) const

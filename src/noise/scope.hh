@@ -35,19 +35,6 @@ class Scope
     /** Merge another scope's samples (multi-run aggregation). */
     void merge(const Scope &other) { histogram_.merge(other.histogram_); }
 
-    /**
-     * Record `weight` extrapolated replays of an already-captured
-     * sample window (sampled execution). Mass conservation is exact:
-     * the histogram total grows by weight * window total. The window
-     * was itself recorded here cycle by cycle, so its extremes are
-     * already reflected in minSample()/maxSample().
-     */
-    void
-    recordExtrapolated(const Histogram &window, std::uint64_t weight)
-    {
-        histogram_.mergeScaled(window, weight);
-    }
-
     const Histogram &histogram() const { return histogram_; }
 
     /** Restore a capture saved from histogram() (Histogram::restore). */

@@ -25,32 +25,6 @@ NoiseTimeline::closeInterval()
     cyclesThisInterval_ = 0;
 }
 
-void
-NoiseTimeline::feedExtrapolated(Cycles cycles, std::uint64_t droops)
-{
-    // Chunk at interval boundaries like feedBlock(). After consuming
-    // c of the skipped cycles, exactly floor(droops * c / cycles)
-    // droops have been credited — the final chunk lands on c ==
-    // cycles, so the credited total is exactly `droops`. The 128-bit
-    // intermediate keeps the product exact for any cycle count.
-    Cycles done = 0;
-    std::uint64_t credited = 0;
-    while (done < cycles) {
-        const Cycles room = intervalCycles_ - cyclesThisInterval_;
-        const Cycles chunk = std::min<Cycles>(room, cycles - done);
-        done += chunk;
-        const auto upto = static_cast<std::uint64_t>(
-            static_cast<unsigned __int128>(droops) * done / cycles);
-        const std::uint64_t d = upto - credited;
-        credited = upto;
-        droopsThisInterval_ += d;
-        totalDroops_ += d;
-        cyclesThisInterval_ += chunk;
-        if (cyclesThisInterval_ == intervalCycles_)
-            closeInterval();
-    }
-}
-
 double
 NoiseTimeline::overallRate() const
 {

@@ -81,17 +81,6 @@ class NoiseTimeline
         }
     }
 
-    /**
-     * Advance the timeline by `cycles` extrapolated cycles carrying
-     * `droops` below-margin samples in total (sampled execution
-     * fast-forward). Interval boundaries are crossed exactly as if
-     * the cycles had been fed one by one; the droops are allocated
-     * to the crossed intervals proportionally with integer
-     * arithmetic, so the credited total is exactly `droops` and
-     * series lengths match an exact run of the same cycle count.
-     */
-    void feedExtrapolated(Cycles cycles, std::uint64_t droops);
-
     /** Close any partial interval and return the series. */
     const std::vector<double> &finish();
 

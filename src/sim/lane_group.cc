@@ -62,12 +62,9 @@ LaneGroup::run(std::vector<LanePlan> &plans)
             // Plans the fused kernel cannot express take the existing
             // standalone paths unchanged: per-cycle feedback consumers
             // (blockEligible_ is false), systems wider than the kernel's
-            // core arrays, the degenerate one-lane group, and sampled
-            // runs (the lockstep kernel drives tickBlock directly and
-            // would silently bypass the PhaseSampler; run() engages it).
+            // core arrays, and the degenerate one-lane group.
             if (!sys.blockEligible_ || width_ == 1 ||
-                sys.cores_.size() > simd::kMaxLaneCores ||
-                sys.samplingWanted()) {
+                sys.cores_.size() > simd::kMaxLaneCores) {
                 runSolo(plan);
                 continue;
             }

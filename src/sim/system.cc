@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <string_view>
+#include <cstring>
 
 #include "common/logging.hh"
 #include "dsp/primitives.hh"
@@ -18,32 +18,22 @@ marginsOrDefault(const SystemConfig &cfg)
                                     : cfg.watchMargins;
 }
 
-/** Environment escape hatch forcing the per-cycle scalar path, so
- *  golden runs can cross-check blocked vs scalar end to end. */
+} // namespace
+
 bool
 scalarTickForced()
 {
     static const bool forced = [] {
+        // Empty means unset, like the other VSMOOTH_* variables.
         const char *e = std::getenv("VSMOOTH_SCALAR_TICK");
-        return e && *e && *e != '0';
+        if (!e || !*e || std::strcmp(e, "0") == 0)
+            return false;
+        if (std::strcmp(e, "1") == 0)
+            return true;
+        fatal("VSMOOTH_SCALAR_TICK=%s is invalid; it must be 0 or 1", e);
     }();
     return forced;
 }
-
-/** Resolve the Env sampling mode from VSMOOTH_SAMPLING. Read per
- *  System start (not cached): benchmarks toggle it between runs
- *  within one process. */
-bool
-samplingEnvAuto()
-{
-    const char *e = std::getenv("VSMOOTH_SAMPLING");
-    if (!e || !*e)
-        return false;
-    const std::string_view v(e);
-    return v == "auto" || v == "on" || v == "1";
-}
-
-} // namespace
 
 System::System(const SystemConfig &cfg)
     : cfg_(cfg),
@@ -156,22 +146,6 @@ System::start()
         blockTotal_.resize(kBlockCycles);
         blockDeviation_.resize(kBlockCycles);
     }
-    if (samplingWanted())
-        sampler_ = std::make_unique<PhaseSampler>(*this, cfg_.sampling);
-}
-
-bool
-System::samplingWanted() const
-{
-    // Sampled execution engages only with the block pipeline active
-    // (its windows are built from full blocks) and no trace consumer
-    // (a waveform trace cannot be extrapolated soundly — skipped
-    // cycles have no waveform).
-    const bool wantSampling =
-        cfg_.sampling.mode == SamplingConfig::Mode::Auto ||
-        (cfg_.sampling.mode == SamplingConfig::Mode::Env &&
-         samplingEnvAuto());
-    return wantSampling && blockEligible_ && !trace_;
 }
 
 void
@@ -383,10 +357,6 @@ System::run(Cycles n)
     if (n == 0)
         return;
     start();
-    if (sampler_) {
-        sampler_->run(n);
-        return;
-    }
     Cycles remaining = n;
     while (remaining > 0) {
         const Cycles blk = blockLimit(remaining);

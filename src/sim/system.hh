@@ -35,7 +35,6 @@
 #include "pdn/second_order.hh"
 #include "power/current_model.hh"
 #include "sim/calibration.hh"
-#include "sim/sampler.hh"
 
 namespace vsmooth::sim {
 
@@ -121,17 +120,15 @@ struct SystemConfig
      * force the cycle-at-a-time path.
      */
     bool enableBlockedExecution = true;
-
-    /**
-     * Sampled execution of run(): fast-forward stationary stretches
-     * by extrapolating the sinks with explicit error bounds (see
-     * DESIGN.md "Sampled execution"). Off (the Env default with no
-     * VSMOOTH_SAMPLING set) is bit-identical to exact execution;
-     * Auto engages only when the System is eligible (blocked
-     * pipeline active, no trace) and never inside runUntilFinished().
-     */
-    SamplingConfig sampling;
 };
+
+/**
+ * The VSMOOTH_SCALAR_TICK environment escape hatch: 1 forces every
+ * System onto the per-cycle path, so golden runs can cross-check
+ * blocked vs scalar end to end; unset, empty or 0 leaves it off. Any
+ * other value is fatal. Read once per process.
+ */
+bool scalarTickForced();
 
 /** Multi-core system simulation. */
 class System
@@ -207,38 +204,14 @@ class System
      */
     bool blockedExecutionActive() const { return blockEligible_; }
 
-    /**
-     * True when run() executes through the sampled-execution engine
-     * (resolved sampling mode Auto and the System is eligible).
-     * Resolved at the first tick.
-     */
-    bool samplingActive() const { return sampler_ != nullptr; }
-
-    /**
-     * Realized sampling statistics and error bounds; a default
-     * (inactive) report when sampling never engaged.
-     */
-    SamplingReport samplingReport() const
-    { return sampler_ ? sampler_->report() : SamplingReport{}; }
-
   private:
     /** The scenario-lane engine steps K Systems in lockstep through
      *  the same block pipeline and needs the private stages. */
     friend class LaneGroup;
-    /** The sampled-execution engine drives the block pipeline and
-     *  applies extrapolated sink updates. */
-    friend class PhaseSampler;
 
     /** One-time start-of-simulation initialization (PDN settling,
      *  per-rail construction, OS-tick countdowns, block buffers). */
     void start();
-
-    /** True when start() will engage the sampled-execution engine:
-     *  the resolved sampling mode is Auto and the System is eligible
-     *  (blocked pipeline, no trace). Valid before start() — all the
-     *  inputs are fixed at construction — so LaneGroup can route
-     *  sampling runs through the solo path, where run() samples. */
-    bool samplingWanted() const;
 
     /**
      * Run one batched block of n cycles (n >= 1, started_, no OS-tick
@@ -288,9 +261,6 @@ class System
     std::vector<double> blockActivity_;
     std::vector<double> blockTotal_;
     std::vector<double> blockDeviation_;
-    /** Sampled-execution engine (only when the resolved sampling
-     *  mode is Auto and the System is eligible). */
-    std::unique_ptr<PhaseSampler> sampler_;
 };
 
 } // namespace vsmooth::sim

@@ -123,14 +123,6 @@ FuzzConfig::valid(std::string *why) const
                     std::to_string(simd::kMaxLanes) + "]");
     if (simdLevel != "" && simdLevel != "scalar" && simdLevel != "avx2")
         return fail("simdLevel must be one of \"\", scalar, avx2");
-    if (samplingWindow < 1 || samplingWindow > 64)
-        return fail("samplingWindow outside [1, 64]");
-    if (samplingStable < 1 || samplingStable > 16)
-        return fail("samplingStable outside [1, 16]");
-    if (samplingSkip < 1 || samplingSkip > 1024)
-        return fail("samplingSkip outside [1, 1024]");
-    if (!(samplingGuard >= 0.0 && samplingGuard <= 0.05))
-        return fail("samplingGuard outside [0, 0.05]");
     return true;
 }
 
@@ -195,13 +187,6 @@ FuzzConfig::toJson(bool omitDefaults) const
         static_cast<double>(def.laneWidth));
     if (!omitDefaults || simdLevel != def.simdLevel)
         j.set("simdLevel", Json(simdLevel));
-    num("samplingWindow", static_cast<double>(samplingWindow),
-        static_cast<double>(def.samplingWindow));
-    num("samplingStable", static_cast<double>(samplingStable),
-        static_cast<double>(def.samplingStable));
-    num("samplingSkip", static_cast<double>(samplingSkip),
-        static_cast<double>(def.samplingSkip));
-    num("samplingGuard", samplingGuard, def.samplingGuard);
     return j;
 }
 
@@ -300,17 +285,6 @@ FuzzConfig::fromJson(const Json &j, FuzzConfig &out, std::string *error)
             out.laneWidth = static_cast<std::uint32_t>(v.asNumber());
         } else if (key == "simdLevel" && v.isString()) {
             out.simdLevel = v.asString();
-        } else if (key == "samplingWindow" && needNumber()) {
-            out.samplingWindow =
-                static_cast<std::uint32_t>(v.asNumber());
-        } else if (key == "samplingStable" && needNumber()) {
-            out.samplingStable =
-                static_cast<std::uint32_t>(v.asNumber());
-        } else if (key == "samplingSkip" && needNumber()) {
-            out.samplingSkip =
-                static_cast<std::uint32_t>(v.asNumber());
-        } else if (key == "samplingGuard" && needNumber()) {
-            out.samplingGuard = v.asNumber();
         } else {
             return fail("unknown or mistyped field '" + key + "'");
         }
@@ -440,17 +414,6 @@ fuzzConfigGen()
                 levels.push_back("avx2");
             cfg.simdLevel = elementGen<std::string>(levels)(rng);
         }
-
-        // Sampled-execution knobs: small windows and low stability
-        // thresholds make skips likely inside the short fuzz runs;
-        // the duplicated 8 weights the production default.
-        cfg.samplingWindow = static_cast<std::uint32_t>(
-            elementGen<std::uint64_t>({2, 4, 8, 8, 16})(rng));
-        cfg.samplingStable =
-            static_cast<std::uint32_t>(rng.uniformInt(1, 4));
-        cfg.samplingSkip = static_cast<std::uint32_t>(
-            elementGen<std::uint64_t>({2, 8, 32, 128})(rng));
-        cfg.samplingGuard = logUniformGen(2e-4, 5e-3)(rng);
         return cfg;
     });
 }

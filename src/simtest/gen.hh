@@ -208,16 +208,6 @@ struct FuzzConfig
      *  replay — at the scalar level — anywhere. */
     std::string simdLevel;
 
-    // --- Sampled execution (sampled_within_bounds) ----------------------
-    /** Blocks per stationarity-detector window. */
-    std::uint32_t samplingWindow = 8;
-    /** Consecutive similar windows before a skip. */
-    std::uint32_t samplingStable = 2;
-    /** Maximum window replays per skip. */
-    std::uint32_t samplingSkip = 128;
-    /** Droop-detector guard band (absolute deviation units). */
-    double samplingGuard = 0.002;
-
     bool operator==(const FuzzConfig &) const = default;
 
     /**

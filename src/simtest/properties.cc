@@ -60,11 +60,6 @@ toSystemConfig(const FuzzConfig &cfg, bool forceScalar)
         sys.recoveryCostCycles = cfg.ctrlRecoveryCost;
     }
     sys.enableBlockedExecution = !forceScalar;
-    // The differential properties compare exact execution paths;
-    // resolve sampling to Off explicitly so an inherited
-    // VSMOOTH_SAMPLING=auto cannot contaminate them. The sampled
-    // property opts back in with Mode::Auto.
-    sys.sampling.mode = sim::SamplingConfig::Mode::Off;
     return sys;
 }
 
@@ -318,7 +313,6 @@ runFaultRig(std::uint64_t seed, double margin, double ratePerAccess,
     // conservation differential crosses injection boundaries.
     sc.osTickInterval = Cycles(7'321);
     sc.enableBlockedExecution = !forceScalar;
-    sc.sampling.mode = sim::SamplingConfig::Mode::Off;
     sim::System sys(sc);
     auto owned = std::make_unique<cpu::DetailedCore>(params, stream);
     const cpu::DetailedCore *core = owned.get();
@@ -495,200 +489,6 @@ checkLanedVsScalar(const FuzzConfig &cfg, std::string *why)
             return false;
         }
     }
-    return true;
-}
-
-// ---------------------------------------------------------------------
-// sampled_within_bounds
-// ---------------------------------------------------------------------
-
-bool
-checkSampledWithinBounds(const FuzzConfig &cfg, std::string *why)
-{
-    auto fail = [&](const std::string &msg) {
-        if (why)
-            *why = msg;
-        return false;
-    };
-
-    // The sampler never engages with an active trace; drop it from
-    // both arms so they stay comparable, and drive run() directly
-    // (sampling applies to run(), never runUntilFinished()).
-    FuzzConfig local = cfg;
-    local.enableTrace = false;
-
-    auto makeConfig = [&](sim::SamplingConfig::Mode mode) {
-        sim::SystemConfig sc = toSystemConfig(local, false);
-        sc.sampling.mode = mode;
-        sc.sampling.windowBlocks = local.samplingWindow;
-        sc.sampling.stableWindows = local.samplingStable;
-        sc.sampling.maxSkipWindows = local.samplingSkip;
-        sc.sampling.guardBand = local.samplingGuard;
-        return sc;
-    };
-    auto execute = [&](sim::SamplingConfig::Mode mode) {
-        auto sys = std::make_unique<sim::System>(makeConfig(mode));
-        addCores(*sys, local);
-        sys->run(local.cycles);
-        return sys;
-    };
-
-    auto exact = execute(sim::SamplingConfig::Mode::Off);
-    auto sampled = execute(sim::SamplingConfig::Mode::Auto);
-    auto sampled2 = execute(sim::SamplingConfig::Mode::Auto);
-
-    const RunSummary se = summarizeSystem(*exact, local);
-    const RunSummary ss = summarizeSystem(*sampled, local);
-    const RunSummary ss2 = summarizeSystem(*sampled2, local);
-
-    // Sampled execution is deterministic like everything else.
-    if (const auto d = firstDifference(ss, ss2); !d.empty())
-        return fail("sampled run not deterministic: " + d);
-
-    // run(n) advances exactly n cycles either way, and the scope
-    // histogram conserves mass exactly (one sample per cycle —
-    // weighted extrapolation must not create or lose counts).
-    if (ss.cycles != se.cycles) {
-        return fail("sampled cycles " + std::to_string(ss.cycles) +
-                    " != exact " + std::to_string(se.cycles));
-    }
-    if (ss.histTotal != se.histTotal) {
-        return fail("sampled histogram mass " +
-                    std::to_string(ss.histTotal) + " != exact " +
-                    std::to_string(se.histTotal));
-    }
-
-    const sim::SamplingReport rep = sampled->samplingReport();
-    const double frac = rep.simulatedFraction();
-    if (!(std::isfinite(frac) && frac > 0.0 && frac <= 1.0)) {
-        return fail("simulated fraction " + num(frac) +
-                    " outside (0, 1]");
-    }
-    for (const auto &[name, bound] : rep.namedBounds()) {
-        if (!(std::isfinite(bound) && bound >= 0.0))
-            return fail("bound " + name + " = " + num(bound) +
-                        " is not a finite non-negative number");
-    }
-
-    if (rep.extrapolatedCycles == 0) {
-        // Nothing was fast-forwarded (ineligible system, unstable
-        // workload, or guard-banded throughout): the sampled run must
-        // be bit-identical to the exact one.
-        if (const auto d = firstDifference(ss, se); !d.empty())
-            return fail("no cycles extrapolated, yet sampled != "
-                        "exact: " + d);
-        return true;
-    }
-
-    // Post-skip execution is a different realization of the same
-    // process, so every extrapolated metric is checked against the
-    // report's own error bound.
-    auto checkBound = [&](const std::string &name, double a, double b,
-                          double bound) {
-        if (std::abs(a - b) <= bound)
-            return true;
-        fail(name + ": |sampled " + num(a) + " - exact " + num(b) +
-             "| > bound " + num(bound));
-        return false;
-    };
-
-    if (!checkBound("max droop (hist min)", ss.histMin, se.histMin,
-                    rep.maxDroopBound))
-        return false;
-    if (!checkBound("max overshoot (hist max)", ss.histMax, se.histMax,
-                    rep.maxOvershootBound))
-        return false;
-
-    if (ss.bankEvents.size() != se.bankEvents.size())
-        return fail("detector bank size differs");
-    for (std::size_t i = 0; i < ss.bankEvents.size(); ++i) {
-        if (!checkBound(
-                "droop events at margin " + std::to_string(i),
-                static_cast<double>(ss.bankEvents[i]),
-                static_cast<double>(se.bankEvents[i]),
-                rep.eventCountBound))
-            return false;
-        const double ds = ss.bankDeepest[i];
-        const double de = se.bankDeepest[i];
-        if (ds != 0.0 && de != 0.0) {
-            if (!checkBound(
-                    "deepest event at margin " + std::to_string(i),
-                    ds, de, rep.deepestEventBound))
-                return false;
-        } else if (ds != de) {
-            // Exactly one realization crossed this margin at all, so
-            // the other's deepest is the no-event sentinel 0 and no
-            // dispersion bound relates a full event depth to zero.
-            // The sound statement is that such a lone event is
-            // marginal: its depth exceeds the armed margin by no more
-            // than the bound.
-            const double depth = ds != 0.0 ? ds : de;
-            const double margin =
-                exact->droopBank().detector(i).margin();
-            if (std::abs(std::abs(depth) - margin) >
-                rep.deepestEventBound) {
-                return fail("lone deepest event at margin " +
-                            std::to_string(i) + ": depth " +
-                            num(depth) + " not within bound " +
-                            num(rep.deepestEventBound) +
-                            " of margin " + num(margin));
-            }
-        }
-    }
-
-    if (local.enableTimeline) {
-        if (ss.timeline.size() != se.timeline.size()) {
-            return fail("timeline length " +
-                        std::to_string(ss.timeline.size()) +
-                        " != exact " +
-                        std::to_string(se.timeline.size()));
-        }
-        for (std::size_t i = 0; i < ss.timeline.size(); ++i) {
-            if (!checkBound("timeline[" + std::to_string(i) + "]",
-                            ss.timeline[i], se.timeline[i],
-                            rep.timelineElementBound))
-                return false;
-        }
-    }
-
-    for (std::size_t i = 0; i < local.cores.size(); ++i) {
-        if (!checkBound(
-                "core " + std::to_string(i) + " instructions",
-                static_cast<double>(ss.coreInstructions[i]),
-                static_cast<double>(se.coreInstructions[i]),
-                rep.coreInstructionBound))
-            return false;
-        // The bound covers the per-core *total* stall count; the
-        // per-cause split is a realization detail.
-        std::uint64_t stallS = 0;
-        std::uint64_t stallE = 0;
-        for (std::size_t c = 0; c < cpu::PerfCounters::kNumCauses;
-             ++c) {
-            stallS += ss.coreStallCycles[
-                i * cpu::PerfCounters::kNumCauses + c];
-            stallE += se.coreStallCycles[
-                i * cpu::PerfCounters::kNumCauses + c];
-        }
-        if (!checkBound("core " + std::to_string(i) + " stall cycles",
-                        static_cast<double>(stallS),
-                        static_cast<double>(stallE),
-                        rep.coreStallCycleBound))
-            return false;
-    }
-
-    // CDF fraction queries through the merged histogram (the fig07
-    // observables).
-    if (!checkBound("fraction below idle margin",
-                    sampled->scope().fractionBelow(-sim::kIdleMargin),
-                    exact->scope().fractionBelow(-sim::kIdleMargin),
-                    rep.histFractionBound))
-        return false;
-    if (!checkBound(
-            "fraction outside typical band",
-            sampled->scope().fractionOutside(sim::kTypicalCaseBand),
-            exact->scope().fractionOutside(sim::kTypicalCaseBand),
-            rep.histFractionBound))
-        return false;
     return true;
 }
 
@@ -1275,12 +1075,6 @@ propertyRegistry()
         {"run_twice_determinism", "sim/system",
          "same seed reproduces every observable exactly",
          nullptr, &checkRunTwiceDeterminism},
-        {"sampled_within_bounds", "sim/sampler",
-         "sampled execution deterministic, mass-conserving, and "
-         "within its reported error bounds vs exact",
-         "samplingWindow {2,4,8,16} blocks; samplingStable 1..4; "
-         "samplingSkip {2,8,32,128}; samplingGuard 2e-4..5e-3",
-         &checkSampledWithinBounds},
         {"parallel_vs_serial", "sim/sweep",
          "parallelMap sweep bit-identical for any job count",
          "jobs 1..6", &checkParallelVsSerial},

@@ -19,10 +19,6 @@
  *   - pdn_linearity: the second-order PDN is LTI — superposition and
  *     scaling of current stimuli, exact DC gain R·I, and a step
  *     response inside analytic second-order bounds;
- *   - sampled_within_bounds: phase-sampled execution is
- *     deterministic, conserves histogram mass, and lands every
- *     extrapolated metric within the error bound its own report
- *     declares (bit-identical when nothing was extrapolated);
  *   - histogram_invariants: mass conservation, block/scalar feed
  *     identity, merge commutativity/associativity, and
  *     concatenation == merge;

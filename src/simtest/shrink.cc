@@ -112,22 +112,6 @@ shrinkMoves()
             c.loop = true;
             return true;
         },
-        // Sampling knobs back to their defaults (one move: they only
-        // matter together, and a default-valued repro omits them all).
-        [](FuzzConfig &c) {
-            const FuzzConfig def;
-            if (c.samplingWindow == def.samplingWindow &&
-                c.samplingStable == def.samplingStable &&
-                c.samplingSkip == def.samplingSkip &&
-                c.samplingGuard == def.samplingGuard) {
-                return false;
-            }
-            c.samplingWindow = def.samplingWindow;
-            c.samplingStable = def.samplingStable;
-            c.samplingSkip = def.samplingSkip;
-            c.samplingGuard = def.samplingGuard;
-            return true;
-        },
         // Keep jobs >= 2 so the parallel property still exercises the
         // pool; 2 is its minimal interesting value.
         [](FuzzConfig &c) {

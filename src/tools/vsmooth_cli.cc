@@ -64,9 +64,6 @@
  *   --split          split per-core supplies
  *   --trace FILE     write a CSV waveform trace of the last 64K cycles
  *   --seed S         RNG seed
- *   --sampling M     off|auto: phase-sampled execution (default:
- *                    the VSMOOTH_SAMPLING environment variable;
- *                    off is bit-identical to exact execution)
  *
  * Global options:
  *   --jobs N         worker threads for parallel sweeps (default: all
@@ -123,8 +120,6 @@ usage()
            "run options: --decap F --cycles N --margin M --recovery N\n"
            "             --predictor --damper --split --trace FILE"
            " --seed S\n"
-           "             --sampling off|auto (default: VSMOOTH_SAMPLING"
-           " env)\n"
            "verify options: --bench-dir D --golden-dir D"
            " --experiments a,b,c\n"
            "                --all --update --list --verbose\n"
@@ -241,8 +236,6 @@ struct RunOptions
     bool split = false;
     std::string traceFile;
     std::uint64_t seed = 1;
-    /** Resolved sampling mode (Env = defer to VSMOOTH_SAMPLING). */
-    sim::SamplingConfig::Mode sampling = sim::SamplingConfig::Mode::Env;
     std::vector<std::string> benchmarks;
 };
 
@@ -263,7 +256,6 @@ cmdRun(const RunOptions &opt)
         cfg.emergencyMargin = opt.margin;
         cfg.recoveryCostCycles = opt.recovery > 0 ? opt.recovery : 1000;
     }
-    cfg.sampling.mode = opt.sampling;
 
     sim::System sys(cfg);
     sys.addCore(std::make_unique<cpu::FastCore>(
@@ -312,17 +304,6 @@ cmdRun(const RunOptions &opt)
     if (sys.damper()) {
         t.addRow({"damper throttled cycles",
                   TextTable::num(sys.damper()->throttledCycles())});
-    }
-    if (sys.samplingActive()) {
-        const sim::SamplingReport rep = sys.samplingReport();
-        t.addRow({"sampling: simulated fraction",
-                  TextTable::num(rep.simulatedFraction(), 4)});
-        t.addRow({"sampling: fast-forward skips",
-                  TextTable::num(rep.skips)});
-        t.addRow({"sampling: max droop bound (%)",
-                  TextTable::num(rep.maxDroopBound * 100, 3)});
-        t.addRow({"sampling: CDF fraction bound",
-                  TextTable::num(rep.histFractionBound, 4)});
     }
     t.print(std::cout);
 
@@ -555,12 +536,14 @@ main(int argc, char **argv)
 {
     if (argc < 2)
         usage();
-    // Resolve the SIMD dispatch level and the job count up front: a
-    // bad VSMOOTH_SIMD, VSMOOTH_LANES or VSMOOTH_JOBS value fails
-    // before any work starts, and the selected kernel/lane-width
-    // report lands once at the top of the output instead of mid-run.
+    // Resolve the SIMD dispatch level, the job count and the tick
+    // path up front: a bad VSMOOTH_SIMD, VSMOOTH_LANES, VSMOOTH_JOBS
+    // or VSMOOTH_SCALAR_TICK value fails before any work starts, and
+    // the selected kernel/lane-width report lands once at the top of
+    // the output instead of mid-run.
     simd::activeLevel();
     numJobs();
+    sim::scalarTickForced();
     const std::string cmd = argv[1];
 
     if (cmd == "list")
@@ -606,15 +589,6 @@ main(int argc, char **argv)
             opt.traceFile = next();
         } else if (arg == "--seed") {
             opt.seed = parseU64(next(), "--seed");
-        } else if (arg == "--sampling") {
-            const std::string mode = next();
-            if (mode == "off")
-                opt.sampling = sim::SamplingConfig::Mode::Off;
-            else if (mode == "auto")
-                opt.sampling = sim::SamplingConfig::Mode::Auto;
-            else
-                fatal("bad value '%s' for --sampling (off|auto)",
-                      mode.c_str());
         } else if (arg == "--jobs") {
             const std::uint64_t v = parseU64(next(), "--jobs");
             if (v < 1)

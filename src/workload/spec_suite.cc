@@ -174,8 +174,7 @@ scheduleFor(const SpecBenchmark &bench, Cycles baseLength, bool loop)
 {
     // Sub-unit baseLength * relativeLength products truncate to 0;
     // clamp so every pattern yields valid (nonzero-length) phases —
-    // FastCore rejects zero-length phases, and the sampled-execution
-    // phase detector relies on schedules from here being well-formed.
+    // FastCore rejects zero-length phases.
     const auto total = std::max<Cycles>(
         1, static_cast<Cycles>(bench.relativeLength *
                                static_cast<double>(baseLength)));

@@ -204,16 +204,6 @@ loopingCore(const char *name, std::uint64_t seed)
         seed);
 }
 
-SystemConfig
-auditConfig()
-{
-    SystemConfig cfg;
-    // Pin the exact block pipeline: no sampling (the env default may
-    // differ under VSMOOTH_SAMPLING), no trace, no timeline.
-    cfg.sampling.mode = SamplingConfig::Mode::Off;
-    return cfg;
-}
-
 } // namespace
 
 TEST(AllocAudit, InterposerCountsHeapTraffic)
@@ -234,7 +224,7 @@ TEST(AllocAudit, InterposerCountsHeapTraffic)
 // be completely allocation-free.
 TEST(AllocAudit, SystemSteadyBlocksDoNotAllocate)
 {
-    System sys(auditConfig());
+    System sys(SystemConfig{});
     sys.addCore(loopingCore("sphinx", 11));
     sys.addCore(loopingCore("mcf", 12));
     sys.run(16'384); // warm-up: start() sizing + first blocks
@@ -254,7 +244,7 @@ TEST(AllocAudit, LaneGroupSteadyDrainDoesNotAllocate)
                                          "bzip2"};
     std::vector<std::unique_ptr<System>> systems;
     for (std::size_t i = 0; i < 4; ++i) {
-        auto sys = std::make_unique<System>(auditConfig());
+        auto sys = std::make_unique<System>(SystemConfig{});
         sys->addCore(loopingCore(kNames[i], 20 + i));
         sys->addCore(loopingCore(kNames[(i + 1) % 4], 30 + i));
         systems.push_back(std::move(sys));

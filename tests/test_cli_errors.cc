@@ -391,6 +391,22 @@ TEST(CliErrors, FuzzBadFlagValue)
             << bad.output;
     }
 
+    // VSMOOTH_SCALAR_TICK takes 0 or 1; empty means unset.
+    for (const char *tick : {"off", "true", "2"}) {
+        const auto bad = runCli(
+            "fuzz --iters 1", std::string("VSMOOTH_SCALAR_TICK=") + tick);
+        EXPECT_EQ(bad.exitCode, 1) << tick;
+        EXPECT_NE(bad.output.find("VSMOOTH_SCALAR_TICK"), std::string::npos)
+            << bad.output;
+    }
+    for (const char *tick : {"", "0", "1"}) {
+        const auto good = runCli("run --cycles 20000 hmmer",
+                                 std::string("VSMOOTH_SCALAR_TICK=") + tick);
+        EXPECT_EQ(good.exitCode, 0) << tick << ": " << good.output;
+        EXPECT_NE(good.output.find("max droop"), std::string::npos)
+            << good.output;
+    }
+
     const auto r2 = runCli("fuzz --no-such-flag");
     EXPECT_EQ(r2.exitCode, 2);
     EXPECT_NE(r2.output.find("usage"), std::string::npos);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the vsmooth::dsp primitive layer (DESIGN.md §12).
+ * Tests for the vsmooth::dsp primitive layer (DESIGN.md §11).
  *
  * The layer's whole contract is *exact* identity: each primitive is
  * the one implementation of a per-cycle recurrence, and every hot

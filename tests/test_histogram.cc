@@ -273,88 +273,3 @@ TEST_P(HistogramQuantileProperty, QuantileMonotone)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HistogramQuantileProperty,
                          ::testing::Values(3, 14, 159, 2653));
-
-TEST(Histogram, AddScaledMatchesRepeatedAdd)
-{
-    Histogram a(0.0, 10.0, 10);
-    Histogram b(0.0, 10.0, 10);
-    for (double x : {-3.0, 0.5, 5.5, 12.0}) {
-        a.addScaled(x, 9);
-        for (int i = 0; i < 9; ++i)
-            b.add(x);
-    }
-    EXPECT_EQ(a.totalCount(), b.totalCount());
-    EXPECT_EQ(a.underflowCount(), b.underflowCount());
-    EXPECT_EQ(a.overflowCount(), b.overflowCount());
-    EXPECT_DOUBLE_EQ(a.minSample(), b.minSample());
-    EXPECT_DOUBLE_EQ(a.maxSample(), b.maxSample());
-    for (std::size_t i = 0; i < a.numBins(); ++i)
-        EXPECT_EQ(a.binCount(i), b.binCount(i));
-}
-
-TEST(Histogram, AddScaledZeroWeightIsNoOp)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.addScaled(5.0, 0);
-    h.addScaled(-4.0, 0);
-    EXPECT_EQ(h.totalCount(), 0u);
-    EXPECT_EQ(h.underflowCount(), 0u);
-    // A weight-0 sample must not perturb the tracked extremes either.
-    h.add(2.0);
-    EXPECT_DOUBLE_EQ(h.minSample(), 2.0);
-    EXPECT_DOUBLE_EQ(h.maxSample(), 2.0);
-}
-
-TEST(Histogram, MergeScaledConservesMassIncludingTails)
-{
-    // The window histogram mixes binned mass with under/overflow
-    // tails; weighted merge must scale all three the same way.
-    Histogram win(0.0, 10.0, 10);
-    win.add(-2.0); // underflow
-    win.add(3.5);
-    win.add(3.6);
-    win.add(14.0); // overflow
-
-    Histogram sink(0.0, 10.0, 10);
-    sink.add(7.5);
-    sink.mergeScaled(win, 5);
-
-    EXPECT_EQ(sink.totalCount(), 1u + 5u * 4u);
-    EXPECT_EQ(sink.underflowCount(), 5u);
-    EXPECT_EQ(sink.overflowCount(), 5u);
-    EXPECT_EQ(sink.binCount(3), 10u);
-    EXPECT_EQ(sink.binCount(7), 1u);
-    // Extremes come from the merged window.
-    EXPECT_DOUBLE_EQ(sink.minSample(), -2.0);
-    EXPECT_DOUBLE_EQ(sink.maxSample(), 14.0);
-
-    std::uint64_t binned = 0;
-    for (std::size_t i = 0; i < sink.numBins(); ++i)
-        binned += sink.binCount(i);
-    EXPECT_EQ(binned + sink.underflowCount() + sink.overflowCount(),
-              sink.totalCount());
-}
-
-TEST(Histogram, MergeScaledMatchesRepeatedMerge)
-{
-    Rng rng(99);
-    Histogram win(-1.0, 1.0, 32);
-    for (int i = 0; i < 200; ++i)
-        win.add(rng.uniform(-1.5, 1.5));
-
-    Histogram a(-1.0, 1.0, 32);
-    Histogram b(-1.0, 1.0, 32);
-    a.mergeScaled(win, 7);
-    for (int i = 0; i < 7; ++i)
-        b.merge(win);
-    EXPECT_EQ(a.totalCount(), b.totalCount());
-    EXPECT_EQ(a.underflowCount(), b.underflowCount());
-    EXPECT_EQ(a.overflowCount(), b.overflowCount());
-    for (std::size_t i = 0; i < a.numBins(); ++i)
-        EXPECT_EQ(a.binCount(i), b.binCount(i));
-
-    // Weight 0 merges nothing.
-    Histogram c(-1.0, 1.0, 32);
-    c.mergeScaled(win, 0);
-    EXPECT_EQ(c.totalCount(), 0u);
-}

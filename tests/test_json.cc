@@ -259,14 +259,24 @@ TEST(Result, CompareTreatsCountsExactly)
     ASSERT_TRUE(error.empty()) << error;
     EXPECT_TRUE(compareResults(golden, actual, &tol).pass);
 
-    // A sampled-execution bound widens it too.
-    Result sampled = actual;
-    ResultSampling sampling;
-    sampling.mode = "phase";
-    sampling.simulatedFraction = 0.25;
-    sampling.bounds.emplace_back("emergencies", 1000.0);
-    sampled.setSampling(sampling);
-    EXPECT_TRUE(compareResults(golden, sampled).pass);
+    // A "sampling" block with a bound on the count is an unknown key
+    // like any other: the document parses, the key is dropped, and a
+    // count off by one still fails.
+    const Json doc = Json::parse(
+        "{\"experiment\": \"exp\","
+        " \"sampling\": {\"mode\": \"auto\","
+        " \"simulated_fraction\": 0.25,"
+        " \"bounds\": {\"emergencies\": 1000}},"
+        " \"metrics\": {\"emergencies\": 1000000001}}",
+        &error);
+    ASSERT_TRUE(error.empty()) << error;
+    ASSERT_TRUE(Result::fromJson(doc, actual, &error)) << error;
+    EXPECT_EQ(actual.toJson().find("sampling"), nullptr);
+    report = compareResults(golden, actual);
+    EXPECT_FALSE(report.pass);
+    ASSERT_EQ(report.diffs.size(), 1u);
+    EXPECT_NE(report.diffs[0].note.find("exact count"),
+              std::string::npos);
 }
 
 TEST(Result, CountOnOneSideOnlyFallsBackToDoubles)

@@ -52,8 +52,8 @@ bits(double v)
 
 /**
  * Two populations with a non-default value in every field: samples
- * in range and on both sides of the scope's range, two watched
- * margins, and an active sampling report with distinct bounds.
+ * in range and on both sides of the scope's range, and two watched
+ * margins.
  */
 const std::vector<bench::Population> &
 handBuilt()
@@ -69,19 +69,6 @@ handBuilt()
             pop.emergencies.margins = {0.023, 0.04 + shift};
             pop.emergencies.counts = {1234 + p, 56};
             pop.emergencies.cycles = 150'000 * 475 + p;
-            auto &r = pop.sampling;
-            r.active = true;
-            r.simulatedCycles = 1'000'003 + p;
-            r.extrapolatedCycles = 2'999'997;
-            r.skips = 42 + p;
-            r.maxDroopBound = 0.0117 + shift;
-            r.maxOvershootBound = 0.0031;
-            r.eventCountBound = 829'000.5;
-            r.deepestEventBound = 0.002;
-            r.timelineElementBound = 1.0 / 3.0;
-            r.coreInstructionBound = 7e9;
-            r.coreStallCycleBound = 3.5e8;
-            r.histFractionBound = 1e-7;
         }
         return v;
     }();
@@ -110,19 +97,6 @@ expectSamePopulation(const bench::Population &a, const bench::Population &b)
     for (std::size_t k = 0; k < a.emergencies.margins.size(); ++k)
         EXPECT_EQ(bits(a.emergencies.margins[k]),
                   bits(b.emergencies.margins[k]));
-
-    const auto &ra = a.sampling;
-    const auto &rb = b.sampling;
-    EXPECT_EQ(ra.active, rb.active);
-    EXPECT_EQ(ra.simulatedCycles, rb.simulatedCycles);
-    EXPECT_EQ(ra.extrapolatedCycles, rb.extrapolatedCycles);
-    EXPECT_EQ(ra.skips, rb.skips);
-    const auto boundsA = ra.namedBounds();
-    const auto boundsB = rb.namedBounds();
-    ASSERT_EQ(boundsA.size(), boundsB.size());
-    for (std::size_t k = 0; k < boundsA.size(); ++k)
-        EXPECT_EQ(bits(boundsA[k].second), bits(boundsB[k].second))
-            << boundsA[k].first;
 }
 
 std::string
@@ -163,7 +137,6 @@ cachedPopulations(const fs::path &file, CacheOutcome &outcome, bool &built)
 TEST(PopulationCache, SaveLoadIsBitExact)
 {
     const auto &pops = handBuilt();
-    ASSERT_TRUE(pops[0].sampling.active);
     std::istringstream in(saved(pops, "key 1"));
     const auto loaded = bench::Population::load(in, "key 1", pops.size());
     ASSERT_TRUE(loaded.has_value());

@@ -123,6 +123,12 @@ TEST(FuzzConfig, FromJsonRejectsUnknownAndInvalid)
         FuzzConfig::fromJson(parse("{\"cyclez\": 100}"), out, &error));
     EXPECT_NE(error.find("cyclez"), std::string::npos);
 
+    // A leftover sampled-execution knob is refused and named like any
+    // other unknown field.
+    EXPECT_FALSE(FuzzConfig::fromJson(parse("{\"samplingWindow\": 4}"),
+                                      out, &error));
+    EXPECT_NE(error.find("samplingWindow"), std::string::npos);
+
     EXPECT_FALSE(
         FuzzConfig::fromJson(parse("{\"cycles\": 0}"), out, &error));
 

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
+#include "cpu/fast_core.hh"
+#include "sim/system.hh"
 #include "workload/microbench.hh"
 #include "workload/parsec.hh"
 #include "workload/spec_suite.hh"
@@ -67,6 +70,28 @@ TEST(SpecSuite, ScheduleDurationsScale)
     EXPECT_FALSE(sched.loop);
     const auto looped = scheduleFor(b, 100'000, true);
     EXPECT_TRUE(looped.loop);
+}
+
+TEST(SpecSuite, ZeroLengthPhaseInputsAreClamped)
+{
+    // Sub-unit baseLength * relativeLength products used to truncate
+    // to zero-length phases, which FastCore rejects. scheduleFor
+    // clamps; every suite benchmark must survive the degenerate
+    // baseLength and still run.
+    for (const auto &bench : specCpu2006()) {
+        const cpu::PhaseSchedule s = scheduleFor(bench, 1, true);
+        ASSERT_FALSE(s.phases.empty()) << bench.name;
+        for (const auto &p : s.phases)
+            EXPECT_GE(p.duration, 1u) << bench.name;
+    }
+    const cpu::PhaseSchedule tiny =
+        scheduleFor(specByName("tonto"), 1, true);
+    sim::System sys(sim::SystemConfig{});
+    for (std::uint64_t i = 0; i < 2; ++i)
+        sys.addCore(std::make_unique<cpu::FastCore>(tiny, 7 + i));
+    sys.run(50'000);
+    EXPECT_EQ(sys.cycles(), 50'000u);
+    EXPECT_EQ(sys.scope().histogram().totalCount(), 50'000u);
 }
 
 TEST(SpecSuite, StepScheduleHasOnePhasePerStep)

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Build and run the simulator microbenchmarks that guard the batched
-# tick pipeline, the scenario-lane SIMD engine, phase-sampled
-# execution and the dsp kernel layer, emitting google-benchmark JSON.
+# tick pipeline, the scenario-lane SIMD engine and the dsp kernel
+# layer, emitting google-benchmark JSON.
 # Run from the repository root:
 #
 #   tools/bench.sh [build-dir] [out-json]
@@ -16,9 +16,6 @@
 #     one worker thread; the width-1 vs widest ratio is the
 #     scenario-lane SIMD speedup (lanes=1 runs every scenario through
 #     the solo path).
-#   BM_PopulationSampled with sampling off vs auto on a 120M-cycle
-#     population of long flat workloads; the off vs auto ratio is the
-#     phase-sampled execution speedup.
 #   BM_Dsp* — per-sample throughput of each dsp block primitive and
 #     the fused cross-lane step at the ambient dispatch level (pin
 #     VSMOOTH_SIMD=scalar to measure the AVX2 kernel gain).
@@ -43,7 +40,7 @@ set -euo pipefail
 BUILD_DIR="${1:-build}"
 OUT_JSON="${2:-BENCH.json}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
-FILTER='BM_SystemTick|Laned|BM_PopulationSampled|BM_Dsp'
+FILTER='BM_SystemTick|Laned|BM_Dsp'
 
 # Configure fresh trees as Release; verify existing trees were cached
 # with an optimized build type before running anything against them.
@@ -113,12 +110,6 @@ for bench in ("BM_PopulationLaned", "BM_OracleMatrixLaned"):
         if wide:
             print(f"{bench}: lanes=1 -> lanes={width} "
                   f"speedup {wide / one:.2f}x (median of 5)")
-off = rates.get("BM_PopulationSampled/0/real_time_median")
-auto_ = rates.get("BM_PopulationSampled/1/real_time_median")
-if off and auto_:
-    print(f"exact execution:   {off / 1e6:.2f}M cycles/s (median of 5)")
-    print(f"sampled execution: {auto_ / 1e6:.2f}M cycles/s (median of 5)")
-    print(f"speedup:           {auto_ / off:.2f}x")
 for name, rate in sorted(rates.items()):
     if name.startswith("BM_Dsp"):
         short = name.replace("_median", "")
