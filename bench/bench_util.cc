@@ -89,22 +89,32 @@ prepareParsec(const workload::ParsecBenchmark &bench, Cycles cycles,
     return p;
 }
 
+namespace {
+
+/**
+ * Run sweep indices [begin, end) on the calling thread in lane groups
+ * of the default width (each group its own LaneGroup drain; solo runs
+ * at width 1), handing each finished system to `extract` in index
+ * order. Only one group's systems are alive at a time.
+ */
 void
-runLanedSweep(
-    std::size_t total,
+runLanedRange(
+    std::size_t begin, std::size_t end,
     const std::function<PreparedRun(std::size_t)> &prepare,
     const std::function<void(std::size_t, sim::System &)> &extract)
 {
-    const std::size_t lanes = simd::defaultLaneWidth();
-    const std::size_t nGroups = (total + lanes - 1) / lanes;
-    parallelFor(0, nGroups, [&](std::size_t g) {
-        const std::size_t begin = g * lanes;
-        const std::size_t end = std::min(total, begin + lanes);
-        std::vector<PreparedRun> prepared;
-        prepared.reserve(end - begin);
-        std::vector<sim::LanePlan> plans;
-        plans.reserve(end - begin);
-        for (std::size_t t = begin; t < end; ++t) {
+    sim::LaneGroup group;
+    const std::size_t lanes = group.width();
+    // Reserved once: the plans point into `prepared`.
+    std::vector<PreparedRun> prepared;
+    prepared.reserve(lanes);
+    std::vector<sim::LanePlan> plans;
+    plans.reserve(lanes);
+    for (std::size_t first = begin; first < end; first += lanes) {
+        const std::size_t last = std::min(end, first + lanes);
+        prepared.clear();
+        plans.clear();
+        for (std::size_t t = first; t < last; ++t) {
             prepared.push_back(prepare(t));
             PreparedRun &p = prepared.back();
             sim::LanePlan plan;
@@ -114,10 +124,44 @@ runLanedSweep(
             plan.padTo = p.padTo;
             plans.push_back(plan);
         }
-        sim::LaneGroup group(lanes);
         group.run(plans);
-        for (std::size_t t = begin; t < end; ++t)
-            extract(t, prepared[t - begin].sys);
+        for (std::size_t t = first; t < last; ++t)
+            extract(t, prepared[t - first].sys);
+    }
+}
+
+/** Fold one finished run into a population. */
+void
+addRun(Population &pop, sim::System &sys)
+{
+    pop.scope.merge(sys.scope());
+    pop.emergencies.merge(
+        resilience::profileFromBank(sys.droopBank(), sys.cycles()));
+    ++pop.runs;
+}
+
+/** Fold another population's runs into `pop`, as if run after it. */
+void
+addPopulation(Population &pop, const Population &more)
+{
+    pop.scope.merge(more.scope);
+    pop.emergencies.merge(more.emergencies);
+    pop.runs += more.runs;
+}
+
+} // namespace
+
+void
+runLanedSweep(
+    std::size_t total,
+    const std::function<PreparedRun(std::size_t)> &prepare,
+    const std::function<void(std::size_t, sim::System &)> &extract)
+{
+    const std::size_t lanes = simd::defaultLaneWidth();
+    const std::size_t nGroups = (total + lanes - 1) / lanes;
+    parallelFor(0, nGroups, [&](std::size_t g) {
+        runLanedRange(g * lanes, std::min(total, (g + 1) * lanes),
+                      prepare, extract);
     });
 }
 
@@ -125,7 +169,6 @@ Population
 runPopulation(Cycles cyclesPerRun, double decapFraction,
               std::uint64_t seed)
 {
-    Population pop;
     const auto &suite = workload::specCpu2006();
     const auto &parsec = workload::parsecSuite();
     const std::size_t nSingle = suite.size();
@@ -144,34 +187,33 @@ runPopulation(Cycles cyclesPerRun, double decapFraction,
     auto seedFor = [seed](std::size_t t) {
         return seed + 17ULL * (t + 1);
     };
+    auto prepare = [&](std::size_t t) {
+        if (t < nSingle) {
+            return prepareSingle(suite[t], cyclesPerRun, decapFraction,
+                                 seedFor(t));
+        }
+        if (t < nSingle + nParsec) {
+            return prepareParsec(parsec[t - nSingle], cyclesPerRun,
+                                 decapFraction, seedFor(t));
+        }
+        const auto [i, j] = pairIdx[t - nSingle - nParsec];
+        return preparePair(suite[i], suite[j], cyclesPerRun,
+                           decapFraction, seedFor(t));
+    };
 
-    std::vector<RunResult> results(total);
-    runLanedSweep(
-        total,
-        [&](std::size_t t) {
-            if (t < nSingle) {
-                return prepareSingle(suite[t], cyclesPerRun,
-                                     decapFraction, seedFor(t));
-            }
-            if (t < nSingle + nParsec) {
-                return prepareParsec(parsec[t - nSingle], cyclesPerRun,
-                                     decapFraction, seedFor(t));
-            }
-            const auto [i, j] = pairIdx[t - nSingle - nParsec];
-            return preparePair(suite[i], suite[j], cyclesPerRun,
-                               decapFraction, seedFor(t));
+    // Like the oscilloscope's histogram mode, every run folds into its
+    // chunk's population as it finishes, and the chunks merge in
+    // order after the join: the same bits as one index-order merge,
+    // with one scope per chunk alive instead of one per run.
+    return parallelFold(
+        total, Population{},
+        [&](std::size_t begin, std::size_t end, Population &part) {
+            runLanedRange(begin, end, prepare,
+                          [&](std::size_t, sim::System &sys) {
+                              addRun(part, sys);
+                          });
         },
-        [&](std::size_t t, sim::System &sys) {
-            results[t] = resultFrom(sys);
-        });
-
-    // Merge after the join, in index order.
-    for (const auto &r : results) {
-        pop.scope.merge(r.scope);
-        pop.emergencies.merge(r.emergencies);
-        ++pop.runs;
-    }
-    return pop;
+        addPopulation);
 }
 
 namespace {

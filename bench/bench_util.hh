@@ -128,6 +128,13 @@ struct Population
     load(std::istream &is, const std::string &key, std::size_t count);
 };
 
+/**
+ * Run the population at `cyclesPerRun` cycles per run and package
+ * decap `decapFraction`, drained in lane groups. Each run folds into
+ * its chunk's partial as it finishes (parallelFold), so memory holds
+ * one scope per fold chunk and per lane in flight, never one per run;
+ * the result is bit-identical for any job count and lane width.
+ */
 Population runPopulation(Cycles cyclesPerRun, double decapFraction,
                          std::uint64_t seed = 1);
 

@@ -12,8 +12,10 @@
  *     execution order;
  *   - results are written into pre-sized slots by index, so the
  *     output is identical for any job count;
- *   - reductions (histogram / profile merges) happen after the join,
- *     in index order, on the calling thread.
+ *   - reductions (histogram / profile merges) fold in index order:
+ *     parallelFold() folds each index into its chunk's partial as it
+ *     finishes, and merges the partials after the join, in chunk
+ *     order, on the calling thread.
  *
  * The pool size defaults to std::thread::hardware_concurrency(), can
  * be pinned via the VSMOOTH_JOBS environment variable, and overridden
@@ -26,6 +28,7 @@
 #ifndef VSMOOTH_COMMON_PARALLEL_HH
 #define VSMOOTH_COMMON_PARALLEL_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <vector>
@@ -77,6 +80,48 @@ parallelMap(std::size_t n, Fn fn)
     std::vector<T> out(n);
     parallelFor(0, n, [&](std::size_t i) { out[i] = fn(i); });
     return out;
+}
+
+/**
+ * Fold the results of indices [0, n) into one accumulator without keeping
+ * a result per index.
+ *
+ * [0, n) is split into min(64, n) contiguous chunks whose bounds
+ * depend on n alone (never the job count). Each chunk is one
+ * parallelFor index: runChunk(begin, end, partial) folds indices
+ * begin..end-1, in increasing order, into a partial that starts as a
+ * copy of `init`. After the join, merge(into, from) folds partials
+ * 1.. into partial 0 in chunk order, on the calling thread. When
+ * `init` is merge's identity and merge is associative (Histogram and
+ * EmergencyProfile merges are: integer sums plus left-biased min/max),
+ * the result equals a flat index-order fold for any job count, while
+ * memory holds one partial per chunk instead of one result per index.
+ * A throw from runChunk follows parallelFor's rule: no further chunk
+ * is claimed, and the lowest throwing chunk's exception is rethrown
+ * once every claimed chunk has finished.
+ */
+template <typename Acc, typename RunChunk, typename Merge>
+Acc
+parallelFold(std::size_t n, const Acc &init, RunChunk runChunk,
+             Merge merge)
+{
+    constexpr std::size_t kChunks = 64;
+    const std::size_t k = std::min(n, kChunks);
+    if (k == 0)
+        return init;
+    // Chunk c is [begin(c), begin(c + 1)): sizes differ by at most
+    // one, the longer ones first.
+    const std::size_t base = n / k, extra = n % k;
+    auto begin = [&](std::size_t c) {
+        return c * base + std::min(c, extra);
+    };
+    std::vector<Acc> partials(k, init);
+    parallelFor(0, k, [&](std::size_t c) {
+        runChunk(begin(c), begin(c + 1), partials[c]);
+    });
+    for (std::size_t c = 1; c < k; ++c)
+        merge(partials[0], partials[c]);
+    return std::move(partials[0]);
 }
 
 } // namespace vsmooth

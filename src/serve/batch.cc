@@ -1,10 +1,14 @@
 #include "batch.hh"
 
 #include <algorithm>
+#include <limits>
 
+#include "common/histogram.hh"
 #include "common/parallel.hh"
+#include "noise/scope.hh"
 #include "pdn/package_config.hh"
 #include "sched/oracle_matrix.hh"
+#include "sim/system.hh"
 #include "simtest/properties.hh"
 #include "workload/spec_suite.hh"
 
@@ -92,67 +96,83 @@ runSummaryItem(const BatchItem &item)
     return r;
 }
 
+/** Running totals of a population item's runs: one per fold chunk. */
+struct PopulationTotals
+{
+    std::uint64_t cycles = 0;
+    std::uint64_t emergencies = 0;
+    noise::Scope scope;
+    /** Below every deviation, so the first run folded in sets it, as
+     *  the scope's empty extremes let the first run set hist_min and
+     *  hist_max. */
+    double deviationMax = -std::numeric_limits<double>::infinity();
+
+    void
+    add(const sim::System &sys)
+    {
+        cycles += sys.cycles();
+        emergencies += sys.emergencies();
+        scope.merge(sys.scope());
+        deviationMax = std::max(deviationMax, sys.deviation());
+    }
+
+    void
+    merge(const PopulationTotals &more)
+    {
+        cycles += more.cycles;
+        emergencies += more.emergencies;
+        scope.merge(more.scope);
+        deviationMax = std::max(deviationMax, more.deviationMax);
+    }
+};
+
 Result
 runPopulationItem(const BatchItem &item)
 {
     const std::size_t n = static_cast<std::size_t>(item.population);
-    // Shard across the pool; seeds derive from the index alone, and
-    // the merge below runs after the join in index order, so the
-    // Result is bit-identical for any job count.
-    const auto runs = parallelMap<simtest::RunSummary>(
-        n, [&](std::size_t i) {
-            simtest::FuzzConfig c = item.cfg;
-            c.seed = item.cfg.seed +
-                static_cast<std::uint64_t>(i) * kSeedStride;
-            return simtest::summarizeRun(c, /*forceScalar=*/false);
+    // Seeds derive from the index alone, each run folds into its
+    // chunk's totals as it finishes, and the chunks merge after the
+    // join in index order: the Result is bit-identical for any job
+    // count, and memory holds one histogram per chunk, not per run.
+    const PopulationTotals totals = parallelFold(
+        n, PopulationTotals{},
+        [&](std::size_t begin, std::size_t end, PopulationTotals &part) {
+            for (std::size_t i = begin; i < end; ++i) {
+                simtest::FuzzConfig c = item.cfg;
+                c.seed = item.cfg.seed +
+                    static_cast<std::uint64_t>(i) * kSeedStride;
+                part.add(simtest::runScenario(c, /*forceScalar=*/false));
+            }
+        },
+        [](PopulationTotals &into, const PopulationTotals &more) {
+            into.merge(more);
         });
-
-    std::uint64_t cycles = 0, emergencies = 0;
-    std::uint64_t total = 0, underflow = 0, overflow = 0;
-    double histMin = 0.0, histMax = 0.0, deviationMax = 0.0;
-    std::vector<std::uint64_t> bins;
-    for (const auto &s : runs) {
-        cycles += s.cycles;
-        emergencies += s.emergencies;
-        total += s.histTotal;
-        underflow += s.histUnderflow;
-        overflow += s.histOverflow;
-        histMin = std::min(histMin, s.histMin);
-        histMax = std::max(histMax, s.histMax);
-        deviationMax = std::max(deviationMax, s.deviation);
-        if (bins.empty())
-            bins.resize(s.histBins.size(), 0);
-        for (std::size_t b = 0; b < s.histBins.size(); ++b)
-            bins[b] += s.histBins[b];
-    }
+    const Histogram &h = totals.scope.histogram();
 
     Result r("serve/population");
     r.setSeed(item.cfg.seed);
     r.setJobs(item.cfg.jobs);
     r.metricCount("population", item.population);
-    r.metricCount("cycles_total", cycles);
-    r.metricCount("emergencies", emergencies);
-    r.metricCount("hist_total", total);
-    r.metricCount("hist_underflow", underflow);
-    r.metricCount("hist_overflow", overflow);
-    r.metric("hist_min", histMin);
-    r.metric("hist_max", histMax);
-    r.metric("deviation_max", deviationMax);
+    r.metricCount("cycles_total", totals.cycles);
+    r.metricCount("emergencies", totals.emergencies);
+    r.metricCount("hist_total", h.totalCount());
+    r.metricCount("hist_underflow", h.underflowCount());
+    r.metricCount("hist_overflow", h.overflowCount());
+    r.metric("hist_min", h.minSample());
+    r.metric("hist_max", h.maxSample());
+    r.metric("deviation_max", totals.deviationMax);
 
     // The merged CDF at coarse resolution: 100 equal groups of fine
     // bins (the fine histogram is thousands of bins — too heavy per
     // response item, and the tail masses above are exact counts).
-    if (!bins.empty()) {
-        constexpr std::size_t kGroups = 100;
-        const std::size_t groups = std::min(kGroups, bins.size());
-        std::vector<double> coarse(groups, 0.0);
-        for (std::size_t b = 0; b < bins.size(); ++b) {
-            const std::size_t g =
-                std::min(groups - 1, b * groups / bins.size());
-            coarse[g] += static_cast<double>(bins[b]);
-        }
-        r.series("hist_coarse", std::move(coarse));
+    const std::size_t bins = h.numBins();
+    const std::size_t groups = std::min<std::size_t>(100, bins);
+    std::vector<double> coarse(groups, 0.0);
+    for (std::size_t b = 0; b < bins; ++b) {
+        const std::size_t g = std::min(groups - 1, b * groups / bins);
+        coarse[g] += static_cast<double>(h.binCount(b));
     }
+    r.series("hist_coarse", std::move(coarse));
     return r;
 }
 

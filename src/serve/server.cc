@@ -11,9 +11,12 @@
 #include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <system_error>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "batch.hh"
@@ -29,6 +32,10 @@ namespace {
 
 /** Self-pipe written by the signal handler; -1 when no server runs. */
 std::atomic<int> g_signalPipe{-1};
+
+/** How long the acceptor waits after accept() runs out of
+ *  descriptors or memory before it tries again. */
+constexpr int kAcceptBackoffMs = 100;
 
 extern "C" void
 onTermSignal(int)
@@ -142,6 +149,12 @@ class Server
   private:
     bool listenSocket();
     void acceptLoop();
+    /** Give a newly accepted client its reader thread. */
+    void startReader(int fd);
+    /** Called by a reader as it exits: forget its connection (closing
+     *  the fd unless a batch still holds it) and join the reader that
+     *  retired before it. */
+    void retireReader(std::uint64_t id);
     void serveConnection(std::shared_ptr<Connection> conn);
     void handleRequest(const std::shared_ptr<Connection> &conn,
                        const std::string &line);
@@ -158,9 +171,18 @@ class Server
     int wakeWrite_ = -1;
     std::atomic<bool> draining_{false};
 
+    /** A live connection and the thread reading its requests. */
+    struct Reader
+    {
+        std::shared_ptr<Connection> conn;
+        std::thread thread;
+    };
+
     std::mutex connsM_;
-    std::vector<std::shared_ptr<Connection>> conns_;
-    std::vector<std::thread> connThreads_;
+    std::uint64_t nextReader_ = 0;
+    std::map<std::uint64_t, Reader> readers_;
+    /** The reader that retired last, until the next one joins it. */
+    std::thread lastRetired_;
 };
 
 bool
@@ -280,14 +302,20 @@ Server::run()
         t.join();
 
     // Quiesce the readers: pending requests already dispatched, new
-    // reads see EOF.
+    // reads see EOF, and each reader retires itself as it exits.
+    std::vector<std::thread> live;
     {
         std::lock_guard lk(connsM_);
-        for (const auto &c : conns_)
-            ::shutdown(c->fd, SHUT_RD);
+        for (auto &[id, r] : readers_) {
+            ::shutdown(r.conn->fd, SHUT_RD);
+            live.push_back(std::move(r.thread));
+        }
     }
-    for (auto &t : connThreads_)
+    for (auto &t : live)
         t.join();
+    // Every reader has retired, so nothing else touches it now.
+    if (lastRetired_.joinable())
+        lastRetired_.join();
 
     g_signalPipe.store(-1);
     ::close(wakeRead_);
@@ -299,6 +327,7 @@ Server::run()
 void
 Server::acceptLoop()
 {
+    bool starved = false;
     for (;;) {
         pollfd fds[2] = {{listenFd_, POLLIN, 0},
                          {wakeRead_, POLLIN, 0}};
@@ -314,14 +343,62 @@ Server::acceptLoop()
         if (!(fds[0].revents & POLLIN))
             continue;
         const int fd = ::accept(listenFd_, nullptr, nullptr);
-        if (fd < 0)
+        if (fd >= 0) {
+            starved = false;
+            startReader(fd);
             continue;
-        auto conn = std::make_shared<Connection>(fd);
-        std::lock_guard lk(connsM_);
-        conns_.push_back(conn);
-        connThreads_.emplace_back(
-            [this, conn] { serveConnection(conn); });
+        }
+        if (errno != EMFILE && errno != ENFILE && errno != ENOBUFS &&
+            errno != ENOMEM)
+            continue;
+        // Out of descriptors or memory: the client stays queued, so
+        // polling again at once would spin. Wait for readers to close
+        // theirs; a drain request still ends the wait.
+        if (!starved)
+            warn("serve: accept: %s; backing off", std::strerror(errno));
+        starved = true;
+        pollfd wake{wakeRead_, POLLIN, 0};
+        if (::poll(&wake, 1, kAcceptBackoffMs) > 0)
+            return;
     }
+}
+
+void
+Server::startReader(int fd)
+{
+    auto conn = std::make_shared<Connection>(fd);
+    std::lock_guard lk(connsM_);
+    // Inserted before the thread starts, and under the lock the reader
+    // takes to retire, so retireReader always finds its entry.
+    const std::uint64_t id = nextReader_++;
+    Reader &r = readers_[id];
+    r.conn = conn;
+    try {
+        r.thread = std::thread([this, id, conn] {
+            serveConnection(conn);
+            retireReader(id);
+        });
+    } catch (const std::system_error &e) {
+        warn("serve: no reader thread for a client: %s", e.what());
+        readers_.erase(id); // drops the connection
+    }
+}
+
+void
+Server::retireReader(std::uint64_t id)
+{
+    // Joins run strictly backwards in retire order, so they cannot
+    // cycle, and at most one exited reader is ever left unjoined.
+    std::thread previous;
+    {
+        std::lock_guard lk(connsM_);
+        const auto it = readers_.find(id);
+        previous =
+            std::exchange(lastRetired_, std::move(it->second.thread));
+        readers_.erase(it);
+    }
+    if (previous.joinable())
+        previous.join();
 }
 
 void

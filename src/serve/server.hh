@@ -16,6 +16,14 @@
  * results are delivered, then the process exits. No partial or
  * corrupt response is ever emitted: a response line is written
  * atomically under the connection's write lock.
+ *
+ * Each connection has one reader thread. When the client closes, the
+ * reader retires: the daemon forgets the connection, whose fd closes
+ * as soon as no in-flight batch still holds it, and the reader joins
+ * the one that retired before it, so at most one exited reader waits
+ * to be joined (by the next to retire, or at drain). When accept()
+ * runs out of descriptors or memory, the acceptor backs off instead
+ * of polling straight back into the same failure.
  */
 
 #ifndef VSMOOTH_SERVE_SERVER_HH

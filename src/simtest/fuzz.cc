@@ -175,7 +175,7 @@ writeSummaryFile(const FuzzOptions &opt, const std::string &mode,
     // same-seed runs must produce byte-identical artifacts.
     Json j = Json::object();
     j.set("mode", Json(mode));
-    j.set("seed", Json(static_cast<double>(opt.seed)));
+    j.set("seed", Json(std::uint64_t{opt.seed}));
     j.set("iters", Json(static_cast<double>(opt.iters)));
     Json arr = Json::array();
     for (std::size_t i = 0; i < props.size(); ++i) {

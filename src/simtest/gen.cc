@@ -1,6 +1,9 @@
 #include "gen.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <type_traits>
 
 #include "common/simd.hh"
 #include "workload/spec_suite.hh"
@@ -51,7 +54,7 @@ numberArray(const std::vector<FuzzCore> &cores, bool flatField)
     Json arr = Json::array();
     for (const FuzzCore &c : cores)
         arr.push(flatField ? Json(c.flat ? 1 : 0)
-                           : Json(static_cast<double>(c.bench)));
+                           : Json(std::uint64_t{c.bench}));
     return arr;
 }
 
@@ -135,16 +138,20 @@ FuzzConfig::toJson(bool omitDefaults) const
         if (!omitDefaults || v != dv)
             j.set(key, Json(v));
     };
+    // Exact integer tokens: a seed above 2^53 survives the round
+    // trip, and below it the bytes equal a double's.
+    auto integer = [&](const char *key, std::uint64_t v,
+                       std::uint64_t dv) {
+        if (!omitDefaults || v != dv)
+            j.set(key, Json(v));
+    };
     auto boolean = [&](const char *key, bool v, bool dv) {
         if (!omitDefaults || v != dv)
             j.set(key, Json(v));
     };
-    num("seed", static_cast<double>(seed),
-        static_cast<double>(def.seed));
-    num("cycles", static_cast<double>(cycles),
-        static_cast<double>(def.cycles));
-    num("baseLength", static_cast<double>(baseLength),
-        static_cast<double>(def.baseLength));
+    integer("seed", seed, def.seed);
+    integer("cycles", cycles, def.cycles);
+    integer("baseLength", baseLength, def.baseLength);
     if (!omitDefaults || !(cores == def.cores)) {
         j.set("coreBench", numberArray(cores, false));
         bool anyFlat = false;
@@ -158,17 +165,14 @@ FuzzConfig::toJson(bool omitDefaults) const
     num("lScale", lScale, def.lScale);
     num("rScale", rScale, def.rScale);
     num("rippleFraction", rippleFraction, def.rippleFraction);
-    num("osTickInterval", static_cast<double>(osTickInterval),
-        static_cast<double>(def.osTickInterval));
+    integer("osTickInterval", osTickInterval, def.osTickInterval);
     boolean("trace", enableTrace, def.enableTrace);
-    num("traceCapacity", static_cast<double>(traceCapacity),
-        static_cast<double>(def.traceCapacity));
+    integer("traceCapacity", traceCapacity, def.traceCapacity);
     boolean("timeline", enableTimeline, def.enableTimeline);
-    num("timelineInterval", static_cast<double>(timelineInterval),
-        static_cast<double>(def.timelineInterval));
+    integer("timelineInterval", timelineInterval,
+            def.timelineInterval);
     num("emergencyMargin", emergencyMargin, def.emergencyMargin);
-    num("recoveryCost", static_cast<double>(recoveryCost),
-        static_cast<double>(def.recoveryCost));
+    integer("recoveryCost", recoveryCost, def.recoveryCost);
     boolean("predictor", predictor, def.predictor);
     boolean("damper", damper, def.damper);
     boolean("split", split, def.split);
@@ -177,14 +181,12 @@ FuzzConfig::toJson(bool omitDefaults) const
     num("ctrlMinMargin", ctrlMinMargin, def.ctrlMinMargin);
     num("ctrlMaxMargin", ctrlMaxMargin, def.ctrlMaxMargin);
     num("ctrlWidenStep", ctrlWidenStep, def.ctrlWidenStep);
-    num("ctrlRecoveryCost", static_cast<double>(ctrlRecoveryCost),
-        static_cast<double>(def.ctrlRecoveryCost));
+    integer("ctrlRecoveryCost", ctrlRecoveryCost,
+            def.ctrlRecoveryCost);
     num("faultMargin", faultMargin, def.faultMargin);
     num("faultRate", faultRate, def.faultRate);
-    num("jobs", static_cast<double>(jobs),
-        static_cast<double>(def.jobs));
-    num("laneWidth", static_cast<double>(laneWidth),
-        static_cast<double>(def.laneWidth));
+    integer("jobs", jobs, def.jobs);
+    integer("laneWidth", laneWidth, def.laneWidth);
     if (!omitDefaults || simdLevel != def.simdLevel)
         j.set("simdLevel", Json(simdLevel));
     return j;
@@ -208,27 +210,45 @@ FuzzConfig::fromJson(const Json &j, FuzzConfig &out, std::string *error)
         auto needNumber = [&]() {
             return v.isNumber();
         };
+        // Integer fields take an exact non-negative integer that fits
+        // the field, and nothing else: a negative, fractional or huge
+        // number is refused by name, never cast from a double out of
+        // range. Ranges beyond the type's are valid()'s.
+        std::string badInteger;
+        auto integer = [&](const Json &e, auto &field,
+                           std::uint64_t max =
+                               std::numeric_limits<std::uint64_t>::max()) {
+            using T = std::remove_reference_t<decltype(field)>;
+            max = std::min<std::uint64_t>(max,
+                                          std::numeric_limits<T>::max());
+            std::uint64_t u = 0;
+            if (!e.exactUint64(&u) || u > max) {
+                badInteger = "'" + key + "' is not an integer in [0, " +
+                    std::to_string(max) + "]";
+                return;
+            }
+            field = static_cast<T>(u);
+        };
         if (key == "property" || key == "note") {
             // Repro metadata, consumed by the fuzz driver.
             continue;
-        } else if (key == "seed" && needNumber()) {
-            out.seed = static_cast<std::uint64_t>(v.asNumber());
-        } else if (key == "cycles" && needNumber()) {
-            out.cycles = static_cast<Cycles>(v.asNumber());
-        } else if (key == "baseLength" && needNumber()) {
-            out.baseLength = static_cast<Cycles>(v.asNumber());
+        } else if (key == "seed") {
+            integer(v, out.seed);
+        } else if (key == "cycles") {
+            integer(v, out.cycles);
+        } else if (key == "baseLength") {
+            integer(v, out.baseLength);
         } else if (key == "coreBench" && v.isArray()) {
             for (const Json &e : v.asArray()) {
-                if (!e.isNumber())
-                    return fail("coreBench has a non-numeric element");
-                benches.push_back(
-                    static_cast<std::uint32_t>(e.asNumber()));
+                std::uint32_t bench = 0;
+                integer(e, bench);
+                benches.push_back(bench);
             }
         } else if (key == "coreFlat" && v.isArray()) {
             for (const Json &e : v.asArray()) {
-                if (!e.isNumber())
-                    return fail("coreFlat has a non-numeric element");
-                flats.push_back(e.asNumber() != 0.0);
+                std::uint32_t flat = 0;
+                integer(e, flat, 1);
+                flats.push_back(flat != 0);
             }
         } else if (key == "loop" && v.isBool()) {
             out.loop = v.asBool();
@@ -240,22 +260,20 @@ FuzzConfig::fromJson(const Json &j, FuzzConfig &out, std::string *error)
             out.rScale = v.asNumber();
         } else if (key == "rippleFraction" && needNumber()) {
             out.rippleFraction = v.asNumber();
-        } else if (key == "osTickInterval" && needNumber()) {
-            out.osTickInterval = static_cast<Cycles>(v.asNumber());
+        } else if (key == "osTickInterval") {
+            integer(v, out.osTickInterval);
         } else if (key == "trace" && v.isBool()) {
             out.enableTrace = v.asBool();
-        } else if (key == "traceCapacity" && needNumber()) {
-            out.traceCapacity =
-                static_cast<std::uint64_t>(v.asNumber());
+        } else if (key == "traceCapacity") {
+            integer(v, out.traceCapacity);
         } else if (key == "timeline" && v.isBool()) {
             out.enableTimeline = v.asBool();
-        } else if (key == "timelineInterval" && needNumber()) {
-            out.timelineInterval = static_cast<Cycles>(v.asNumber());
+        } else if (key == "timelineInterval") {
+            integer(v, out.timelineInterval);
         } else if (key == "emergencyMargin" && needNumber()) {
             out.emergencyMargin = v.asNumber();
-        } else if (key == "recoveryCost" && needNumber()) {
-            out.recoveryCost =
-                static_cast<std::uint32_t>(v.asNumber());
+        } else if (key == "recoveryCost") {
+            integer(v, out.recoveryCost);
         } else if (key == "predictor" && v.isBool()) {
             out.predictor = v.asBool();
         } else if (key == "damper" && v.isBool()) {
@@ -272,22 +290,23 @@ FuzzConfig::fromJson(const Json &j, FuzzConfig &out, std::string *error)
             out.ctrlMaxMargin = v.asNumber();
         } else if (key == "ctrlWidenStep" && needNumber()) {
             out.ctrlWidenStep = v.asNumber();
-        } else if (key == "ctrlRecoveryCost" && needNumber()) {
-            out.ctrlRecoveryCost =
-                static_cast<std::uint32_t>(v.asNumber());
+        } else if (key == "ctrlRecoveryCost") {
+            integer(v, out.ctrlRecoveryCost);
         } else if (key == "faultMargin" && needNumber()) {
             out.faultMargin = v.asNumber();
         } else if (key == "faultRate" && needNumber()) {
             out.faultRate = v.asNumber();
-        } else if (key == "jobs" && needNumber()) {
-            out.jobs = static_cast<std::uint64_t>(v.asNumber());
-        } else if (key == "laneWidth" && needNumber()) {
-            out.laneWidth = static_cast<std::uint32_t>(v.asNumber());
+        } else if (key == "jobs") {
+            integer(v, out.jobs);
+        } else if (key == "laneWidth") {
+            integer(v, out.laneWidth);
         } else if (key == "simdLevel" && v.isString()) {
             out.simdLevel = v.asString();
         } else {
             return fail("unknown or mistyped field '" + key + "'");
         }
+        if (!badInteger.empty())
+            return fail(badInteger);
     }
     if (!benches.empty()) {
         if (!flats.empty() && flats.size() != benches.size())

@@ -218,7 +218,9 @@ struct FuzzConfig
     Json toJson(bool omitDefaults = false) const;
 
     /** Parse (missing fields keep defaults); false + *error on
-     *  schema/validity violations. */
+     *  schema/validity violations. An integer field takes only an
+     *  exact non-negative integer that fits it (a seed may be any
+     *  uint64); anything else is refused, naming the field. */
     static bool fromJson(const Json &j, FuzzConfig &out,
                          std::string *error);
 

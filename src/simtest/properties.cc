@@ -154,8 +154,8 @@ class MixedStream final : public cpu::InstructionSource
 
 } // namespace
 
-RunSummary
-summarizeRun(const FuzzConfig &cfg, bool forceScalar)
+sim::System
+runScenario(const FuzzConfig &cfg, bool forceScalar)
 {
     sim::System sys(toSystemConfig(cfg, forceScalar));
     addCores(sys, cfg);
@@ -163,6 +163,13 @@ summarizeRun(const FuzzConfig &cfg, bool forceScalar)
         sys.run(cfg.cycles);
     else
         sys.runUntilFinished(cfg.cycles);
+    return sys;
+}
+
+RunSummary
+summarizeRun(const FuzzConfig &cfg, bool forceScalar)
+{
+    sim::System sys = runScenario(cfg, forceScalar);
     return summarizeSystem(sys, cfg);
 }
 

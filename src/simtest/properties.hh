@@ -112,10 +112,13 @@ struct RunSummary
 };
 
 /**
- * Build the System a FuzzConfig describes, run it, and summarize.
- * forceScalar disables the blocked fast path (the scalar reference
- * side of the differential).
+ * Build the System a FuzzConfig describes and run it. forceScalar
+ * disables the blocked fast path (the scalar reference side of the
+ * differential).
  */
+sim::System runScenario(const FuzzConfig &cfg, bool forceScalar);
+
+/** runScenario, then summarizeSystem. */
 RunSummary summarizeRun(const FuzzConfig &cfg, bool forceScalar);
 
 /** Capture the observables of an already-executed System (the laned

@@ -411,3 +411,21 @@ TEST(CliErrors, FuzzBadFlagValue)
     EXPECT_EQ(r2.exitCode, 2);
     EXPECT_NE(r2.output.find("usage"), std::string::npos);
 }
+
+TEST(CliErrors, FuzzSummaryKeepsTheSeedExact)
+{
+    // The summary once wrote the seed through a double: 2^64 - 1
+    // came out as 18446744073709551616.
+    const fs::path dir = scratchDir("fuzz_summary_seed");
+    const fs::path summary = dir / "summary.json";
+    const auto r = runCli("fuzz --seed 18446744073709551615 --iters 1 "
+                          "--properties run_twice_determinism "
+                          "--summary " + summary.string());
+    ASSERT_EQ(r.exitCode, 0) << r.output;
+    std::ifstream in(summary);
+    std::stringstream text;
+    text << in.rdbuf();
+    EXPECT_NE(text.str().find("\"seed\": 18446744073709551615,"),
+              std::string::npos)
+        << text.str();
+}

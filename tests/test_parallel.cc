@@ -2,14 +2,16 @@
  * @file
  * Tests for the deterministic parallel sweep engine: thread-pool
  * semantics (every index exactly once, in-order dynamic claiming, the
- * job-count cap, exception propagation, nested calls) and the repo's
- * core invariant that the job count never changes results
- * (OracleMatrix and merged-histogram populations are bit-identical
- * for jobs=1 vs jobs=4).
+ * job-count cap, exception propagation, nested calls), the chunked
+ * fold's index order and exception rule, and the repo's core
+ * invariant that the job count never changes results (OracleMatrix
+ * and merged-histogram populations are bit-identical for jobs=1 vs
+ * jobs=4, and a folded population equals the flat merge).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -18,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/histogram.hh"
 #include "common/parallel.hh"
 #include "cpu/fast_core.hh"
 #include "noise/scope.hh"
@@ -67,17 +70,17 @@ expectProfilesIdentical(const sched::PairProfile &a,
 }
 
 noise::Scope
-runScope(std::uint64_t seed)
+runScope(std::uint64_t seed, Cycles cycles = 30'000)
 {
     sim::SystemConfig cfg;
     cfg.osTickInterval = sim::kCompressedOsTick;
     sim::System sys(cfg);
     sys.addCore(std::make_unique<cpu::FastCore>(
-        workload::scheduleFor(workload::specByName("mcf"), 30'000, true),
+        workload::scheduleFor(workload::specByName("mcf"), cycles, true),
         seed));
     sys.addCore(std::make_unique<cpu::FastCore>(
         workload::idleSchedule(1000), seed + 1));
-    sys.run(30'000);
+    sys.run(cycles);
     return sys.scope();
 }
 
@@ -293,4 +296,134 @@ TEST(Parallel, MergedHistogramCdfIdenticalAcrossJobCounts)
     EXPECT_EQ(ha.maxSample(), hb.maxSample());
     for (std::size_t i = 0; i < ha.numBins(); ++i)
         EXPECT_EQ(ha.binCount(i), hb.binCount(i)) << "bin " << i;
+}
+
+TEST(Parallel, FoldIsIndexOrderedForAnyJobsAndLength)
+{
+    // Concatenation is associative but not commutative: an index out
+    // of order, lost or repeated, or a chunk merged out of order,
+    // shows in the folded string. The lengths cover fewer indices than
+    // chunks, one index per chunk, and chunks of uneven length.
+    auto append = [](std::string &into, const std::string &more) {
+        into += more;
+    };
+    for (std::size_t jobs : {1, 4}) {
+        JobsGuard guard;
+        setJobs(jobs);
+        for (std::size_t n : {0, 1, 3, 64, 65, 203, 1000}) {
+            std::string flat;
+            for (std::size_t i = 0; i < n; ++i)
+                flat += std::to_string(i) + ",";
+            std::atomic<std::size_t> calls{0};
+            const std::string folded = parallelFold(
+                n, std::string(),
+                [&](std::size_t begin, std::size_t end,
+                    std::string &part) {
+                    ++calls;
+                    EXPECT_LT(begin, end);
+                    for (std::size_t i = begin; i < end; ++i)
+                        part += std::to_string(i) + ",";
+                },
+                append);
+            EXPECT_EQ(folded, flat)
+                << "jobs " << jobs << ", n " << n;
+            EXPECT_EQ(calls.load(), std::min<std::size_t>(n, 64))
+                << "jobs " << jobs << ", n " << n;
+        }
+    }
+    EXPECT_EQ(parallelFold(
+                  0, std::string("init"),
+                  [](std::size_t, std::size_t, std::string &part) {
+                      part = "ran";
+                  },
+                  append),
+              "init");
+}
+
+TEST(Parallel, FoldRethrowsLowestThrowingChunk)
+{
+    // Four one-index chunks, all in flight before any throws: chunk 3
+    // throws at once and chunk 1 later, and the fold must still
+    // surface chunk 1, after both other chunks finished.
+    JobsGuard guard;
+    setJobs(4);
+    auto ignore = [](int &, const int &) {};
+    for (int iter = 0; iter < 10; ++iter) {
+        std::atomic<int> arrived{0};
+        std::atomic<int> finished{0};
+        std::string caught;
+        try {
+            parallelFold(
+                4, 0,
+                [&](std::size_t begin, std::size_t, int &) {
+                    ++arrived;
+                    while (arrived.load() < 4)
+                        std::this_thread::yield();
+                    if (begin == 3)
+                        throw std::runtime_error("chunk 3");
+                    if (begin == 1) {
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(20));
+                        throw std::runtime_error("chunk 1");
+                    }
+                    ++finished;
+                },
+                ignore);
+            FAIL() << "fold did not throw";
+        } catch (const std::runtime_error &e) {
+            caught = e.what();
+        }
+        EXPECT_EQ(caught, "chunk 1") << "iteration " << iter;
+        EXPECT_EQ(finished.load(), 2) << "iteration " << iter;
+    }
+
+    // No chunk is claimed after a throw.
+    setJobs(1);
+    std::vector<std::size_t> begins;
+    EXPECT_THROW(parallelFold(
+                     5, 0,
+                     [&](std::size_t begin, std::size_t, int &) {
+                         begins.push_back(begin);
+                         if (begin == 2)
+                             throw std::runtime_error("chunk 2");
+                     },
+                     ignore),
+                 std::runtime_error);
+    EXPECT_EQ(begins, (std::vector<std::size_t>{0, 1, 2}));
+}
+
+TEST(Parallel, FoldedScopesIdenticalToFlatMerge)
+{
+    // The Fig 7/9 aggregation: each run's scope folds into its
+    // chunk's as it finishes, the chunks (two and three runs long
+    // here) merge in order, and the histogram is bit-identical to one
+    // index-order merge.
+    constexpr std::size_t kRuns = 130;
+    constexpr Cycles kCycles = 3'000;
+    noise::Scope flat;
+    for (std::size_t k = 0; k < kRuns; ++k)
+        flat.merge(runScope(100 + 17 * k, kCycles));
+    const Histogram &hf = flat.histogram();
+    for (std::size_t jobs : {1, 4}) {
+        JobsGuard guard;
+        setJobs(jobs);
+        const noise::Scope folded = parallelFold(
+            kRuns, noise::Scope(),
+            [](std::size_t begin, std::size_t end, noise::Scope &part) {
+                for (std::size_t k = begin; k < end; ++k)
+                    part.merge(runScope(100 + 17 * k, kCycles));
+            },
+            [](noise::Scope &into, const noise::Scope &more) {
+                into.merge(more);
+            });
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        const Histogram &h = folded.histogram();
+        EXPECT_EQ(h.totalCount(), hf.totalCount());
+        EXPECT_EQ(h.underflowCount(), hf.underflowCount());
+        EXPECT_EQ(h.overflowCount(), hf.overflowCount());
+        EXPECT_EQ(h.minSample(), hf.minSample());
+        EXPECT_EQ(h.maxSample(), hf.maxSample());
+        for (std::size_t i = 0; i < h.numBins(); ++i)
+            ASSERT_EQ(h.binCount(i), hf.binCount(i)) << "bin " << i;
+    }
 }

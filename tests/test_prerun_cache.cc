@@ -2,7 +2,8 @@
  * @file
  * Tests for the pre-run cache the study binaries share between
  * processes: the one-file cache helper (common/fsio's loadOrBuild)
- * and the population record the characterization study keeps in it.
+ * and the population record the characterization study keeps in it,
+ * which must be the same bytes at every lane width and job count.
  * OracleMatrix's own record is tested with the rest of the scheduling
  * study (OracleMatrixCache.*).
  */
@@ -10,12 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "bench_util.hh"
 #include "common/fsio.hh"
+#include "common/parallel.hh"
 
 using namespace vsmooth;
 
@@ -199,6 +202,34 @@ TEST(PopulationCache, DamagedOrForeignFileRebuildsAndOverwrites)
     ASSERT_EQ(hit.size(), 2u);
     for (std::size_t p = 0; p < hit.size(); ++p)
         expectSamePopulation(handBuilt()[p], hit[p]);
+}
+
+TEST(PopulationCache, SavedBytesIdenticalAcrossLanesAndJobs)
+{
+    // The fold's chunks depend on the run count alone, so the saved
+    // population is the same bytes at every lane width and job count.
+    std::string first;
+    for (const char *lanes : {"1", "3", "8"}) {
+        for (std::size_t jobs : {1, 4}) {
+            ASSERT_EQ(setenv("VSMOOTH_LANES", lanes, 1), 0);
+            setJobs(jobs);
+            const std::string bytes =
+                saved({bench::runPopulation(2'000, 0.25, 7)}, "k");
+            if (first.empty())
+                first = bytes;
+            EXPECT_EQ(bytes, first) << "lanes " << lanes << ", jobs "
+                                    << jobs;
+        }
+    }
+    ASSERT_EQ(unsetenv("VSMOOTH_LANES"), 0);
+    setJobs(0);
+    // Every run folded in once: singles, PARSEC, unordered pairs.
+    const std::size_t n = workload::specCpu2006().size();
+    const std::size_t runs =
+        n + workload::parsecSuite().size() + n * (n + 1) / 2;
+    EXPECT_NE(first.find("\npopulation " + std::to_string(runs) + " "),
+              std::string::npos)
+        << first.substr(0, 200);
 }
 
 TEST(LoadOrBuild, UnsafeOrUnwritableDirectoryIsNotUsed)

@@ -9,17 +9,22 @@
  * The protocol-edge tests assert the survivability contract: a framing
  * or schema error on one request produces a structured error response
  * on the same connection — never a disconnect, never a dead daemon.
+ * The lifecycle tests run the daemon with few descriptors: closed
+ * connections must give theirs back, and running out must neither
+ * spin the acceptor nor wedge it.
  */
 
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -36,6 +41,7 @@
 #include "serve/cache.hh"
 #include "serve/protocol.hh"
 #include "serve/queue.hh"
+#include "simtest/properties.hh"
 
 namespace fs = std::filesystem;
 using namespace vsmooth;
@@ -252,6 +258,17 @@ TEST(ServeBatch, FromJsonRejectsBadItemsWithMessages)
     EXPECT_TRUE(parse("{\"kind\": \"summary\", "
                       "\"config\": {\"seed\": 3, \"cycles\": 2000}}"))
         << error;
+
+    // Integer config fields are exact: a seed of -1 is refused by
+    // name, and one above 2^53 keeps its low bits, key included.
+    EXPECT_FALSE(parse("{\"config\": {\"seed\": -1}}"));
+    EXPECT_NE(error.find("'seed'"), std::string::npos) << error;
+    EXPECT_TRUE(parse("{\"config\": {\"seed\": 9007199254740993}}"))
+        << error;
+    EXPECT_EQ(item.cfg.seed, 9007199254740993ull);
+    EXPECT_NE(item.canonicalKey().find("\"seed\":9007199254740993"),
+              std::string::npos)
+        << item.canonicalKey();
 }
 
 TEST(ServeBatch, CanonicalKeyIgnoresIdAndFieldOrder)
@@ -327,6 +344,46 @@ TEST(ServeBatch, RunBatchItemIsBitDeterministic)
         << first.substr(0, 200);
 }
 
+TEST(ServeBatch, PopulationExtremesComeFromTheRuns)
+{
+    // hist_min, hist_max and deviation_max are extremes over the
+    // item's runs, run i drawing seed cfg.seed + i * 0x9E3779B97F4A7C15.
+    // Every run of both scenarios ends below nominal, and the second,
+    // at 16x package resistance, never rises to nominal at all, so
+    // maxima that start at 0 instead of at the first run read 0.
+    for (const char *config :
+         {"{\"seed\": 7, \"cycles\": 20000, \"coreBench\": [19, 19]}",
+          "{\"seed\": 7, \"cycles\": 20000, \"coreBench\": [19, 19], "
+          "\"rScale\": 16}"}) {
+        SCOPED_TRACE(config);
+        std::string error;
+        const Json j = Json::parse(
+            std::string("{\"kind\": \"population\", \"population\": 3, "
+                        "\"config\": ") +
+                config + "}",
+            &error);
+        ASSERT_TRUE(error.empty()) << error;
+        BatchItem item;
+        ASSERT_TRUE(BatchItem::fromJson(j, item, &error)) << error;
+        const Result r = runBatchItem(item);
+
+        double histMin = 0.0, histMax = 0.0, deviationMax = 0.0;
+        for (std::uint64_t i = 0; i < item.population; ++i) {
+            simtest::FuzzConfig c = item.cfg;
+            c.seed = item.cfg.seed + i * 0x9E3779B97F4A7C15ull;
+            const simtest::RunSummary s = simtest::summarizeRun(c, false);
+            histMin = i == 0 ? s.histMin : std::min(histMin, s.histMin);
+            histMax = i == 0 ? s.histMax : std::max(histMax, s.histMax);
+            deviationMax =
+                i == 0 ? s.deviation : std::max(deviationMax, s.deviation);
+        }
+        ASSERT_LT(deviationMax, 0.0);
+        EXPECT_EQ(r.metricValue("deviation_max"), deviationMax);
+        EXPECT_EQ(r.metricValue("hist_min"), histMin);
+        EXPECT_EQ(r.metricValue("hist_max"), histMax);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Live daemon round trip (real binary, Unix socket)
 
@@ -338,6 +395,8 @@ struct Daemon
 {
     pid_t pid = -1;
     std::string sock;
+    /** RLIMIT_NOFILE for the daemon alone (0 = inherit). */
+    rlim_t fdLimit = 0;
 
     /** Launch and wait for the ready file; false (with a recorded
      *  failure) if the daemon never came up. */
@@ -352,6 +411,10 @@ struct Daemon
                 ::open(log.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
             ::dup2(out, 1);
             ::dup2(out, 2);
+            if (fdLimit > 0) {
+                const rlimit limit{fdLimit, fdLimit};
+                ::setrlimit(RLIMIT_NOFILE, &limit);
+            }
             ::execl(VSMOOTH_CLI_PATH, "vsmooth", "serve", "--socket",
                     sock.c_str(), "--workers", "2", "--ready-file",
                     ready.c_str(), static_cast<char *>(nullptr));
@@ -404,6 +467,69 @@ connectUnix(const std::string &path)
     timeval tv{30, 0};
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
     return fd;
+}
+
+/** Connect, ping and close; true when a pong came back within 5 s. */
+bool
+pingOnce(const std::string &sock)
+{
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0)
+        return false;
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, sock.c_str(), sizeof(addr.sun_path) - 1);
+    const timeval tv{5, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    std::string line;
+    const bool ok =
+        ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                  sizeof(addr)) == 0 &&
+        sendLine(fd, "{\"type\": \"ping\"}") &&
+        LineReader(fd).next(&line) == LineReader::Status::Line &&
+        line.find("\"pong\"") != std::string::npos;
+    ::close(fd);
+    return ok;
+}
+
+/** Descriptors process `pid` has open. */
+std::size_t
+fdCount(pid_t pid)
+{
+    const fs::path dir = "/proc/" + std::to_string(pid) + "/fd";
+    return static_cast<std::size_t>(std::distance(
+        fs::directory_iterator(dir), fs::directory_iterator()));
+}
+
+/** Whether process `pid` gets down to `fds` descriptors within 5 s
+ *  (a reader closes its fd just after its client does). */
+bool
+fdCountSettlesAt(pid_t pid, std::size_t fds)
+{
+    for (int i = 0; i < 250; ++i) {
+        if (fdCount(pid) <= fds)
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    return false;
+}
+
+/** User plus system CPU seconds process `pid` has used. */
+double
+cpuSeconds(pid_t pid)
+{
+    std::ifstream in("/proc/" + std::to_string(pid) + "/stat");
+    std::string stat;
+    std::getline(in, stat);
+    // After the parenthesized command: state is field 3, and utime
+    // and stime are fields 14 and 15.
+    std::istringstream rest(stat.substr(stat.rfind(')') + 2));
+    std::string field;
+    for (int i = 3; i < 14; ++i)
+        rest >> field;
+    double utime = 0.0, stime = 0.0;
+    rest >> utime >> stime;
+    return (utime + stime) / static_cast<double>(::sysconf(_SC_CLK_TCK));
 }
 
 struct CliResult
@@ -532,6 +658,57 @@ TEST(ServeDaemon, CacheHitRoundTripIsBitIdenticalToLocal)
                " --results-only");
     ASSERT_EQ(local.exitCode, 0) << local.output;
     EXPECT_EQ(pass1.output, local.output);
+
+    EXPECT_EQ(daemon.terminate(), 0);
+}
+
+TEST(ServeDaemon, ClosedConnectionsGiveBackTheirDescriptors)
+{
+    // With 40 descriptors, keeping every closed client's fd stopped
+    // the daemon from answering after about 34 connections.
+    const fs::path dir = scratchDir("reap");
+    Daemon daemon;
+    daemon.fdLimit = 40;
+    ASSERT_TRUE(daemon.start(dir));
+    const std::size_t fds = fdCount(daemon.pid);
+
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_TRUE(pingOnce(daemon.sock)) << "connection " << i;
+    EXPECT_TRUE(fdCountSettlesAt(daemon.pid, fds))
+        << fdCount(daemon.pid) << " fds open, " << fds << " before";
+
+    EXPECT_EQ(daemon.terminate(), 0);
+}
+
+TEST(ServeDaemon, RunningOutOfDescriptorsNeitherSpinsNorWedges)
+{
+    // 45 clients at once against 40 descriptors: while some wait to
+    // be accepted the daemon must sleep, not poll straight back into
+    // EMFILE, and once they close it must answer again.
+    const fs::path dir = scratchDir("emfile");
+    Daemon daemon;
+    daemon.fdLimit = 40;
+    ASSERT_TRUE(daemon.start(dir));
+
+    std::vector<int> clients;
+    for (int i = 0; i < 45; ++i) {
+        const int fd = connectUnix(daemon.sock);
+        ASSERT_TRUE(sendLine(fd, "{\"type\": \"ping\"}"));
+        clients.push_back(fd);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    const double starved = cpuSeconds(daemon.pid);
+    std::this_thread::sleep_for(std::chrono::seconds(1));
+    EXPECT_LT(cpuSeconds(daemon.pid) - starved, 0.2)
+        << "the acceptor spins while out of descriptors";
+
+    for (int fd : clients)
+        ::close(fd);
+    EXPECT_TRUE(pingOnce(daemon.sock))
+        << "no reply once the clients closed";
+    const double idle = cpuSeconds(daemon.pid);
+    std::this_thread::sleep_for(std::chrono::seconds(1));
+    EXPECT_LT(cpuSeconds(daemon.pid) - idle, 0.2);
 
     EXPECT_EQ(daemon.terminate(), 0);
 }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <string>
 
@@ -140,6 +141,40 @@ TEST(FuzzConfig, FromJsonRejectsUnknownAndInvalid)
     EXPECT_TRUE(FuzzConfig::fromJson(
         parse("{\"property\": \"blocked_vs_scalar\"}"), out, &error))
         << error;
+
+    // Integer fields take exact integers only, refused by name before
+    // any cast: -1 once ran as seed 2^64 - 1, 1.5 as 1, and 1e300 was
+    // an out-of-range float-to-integer conversion.
+    for (const char *field : {"seed", "cycles"}) {
+        for (const char *value : {"-1", "1.5", "1e300"}) {
+            const std::string text =
+                std::string("{\"") + field + "\": " + value + "}";
+            EXPECT_FALSE(
+                FuzzConfig::fromJson(parse(text.c_str()), out, &error))
+                << text;
+            EXPECT_NE(error.find(std::string("'") + field + "'"),
+                      std::string::npos)
+                << text << ": " << error;
+        }
+    }
+}
+
+TEST(FuzzConfig, IntegerFieldsRoundTripExactly)
+{
+    for (std::uint64_t seed : {std::numeric_limits<std::uint64_t>::max(),
+                               (std::uint64_t{1} << 53) + 1}) {
+        FuzzConfig cfg;
+        cfg.seed = seed;
+        const std::string text = cfg.toJson(/*omitDefaults=*/true).dump();
+        EXPECT_EQ(text, "{\"seed\":" + std::to_string(seed) + "}");
+        std::string parseError, error;
+        const Json j = Json::parse(text, &parseError);
+        ASSERT_TRUE(parseError.empty()) << parseError;
+        FuzzConfig back;
+        ASSERT_TRUE(FuzzConfig::fromJson(j, back, &error)) << error;
+        EXPECT_EQ(back.seed, seed);
+        EXPECT_EQ(back, cfg);
+    }
 }
 
 TEST(PropertyRegistry, LookupAndUniqueness)

@@ -3,8 +3,8 @@
 # regression, the benchmark's self-test, a ThreadSanitizer smoke of
 # the parallel sweep engine, an ASan+UBSan property-fuzzing smoke
 # over every property, an ASan+UBSan serve-daemon round trip (cache
-# resubmission + SIGTERM drain), and a clean-work-tree check. Run
-# from the repository root:
+# resubmission, connection churn + SIGTERM drain), and a
+# clean-work-tree check. Run from the repository root:
 #
 #   tools/ci.sh [build-dir]
 #
@@ -65,19 +65,23 @@ cmp "${FUZZ_DIR}/fuzz-summary-a.json" "${FUZZ_DIR}/fuzz-summary-b.json"
 "${FUZZ_DIR}/src/tools/vsmooth" fuzz --corpus tests/corpus \
       --summary "${FUZZ_DIR}/fuzz-corpus-summary.json"
 
-echo "== ASan+UBSan serve: cached oracle batch, SIGTERM drain =="
-# Boot the daemon on a Unix socket, submit an oracle-matrix batch
-# twice, and require the second pass to be answered entirely from the
-# content-addressed cache with byte-identical results; then SIGTERM
-# must drain and exit 0 with the sanitizers watching the executor,
-# cache, and connection teardown paths.
+echo "== ASan+UBSan serve: cached batch, connection churn, SIGTERM drain =="
+# Boot the daemon on a Unix socket, submit an oracle-matrix and
+# population batch twice, and require the second pass to be answered
+# entirely from the content-addressed cache with byte-identical
+# results equal to --local; churn 200 connections and require the
+# daemon's descriptor count back where it started; then SIGTERM must
+# drain and exit 0 with the sanitizers watching the executor, cache,
+# and connection teardown paths.
 SERVE_DIR="${FUZZ_DIR}/serve-stage"
 rm -rf "${SERVE_DIR}"
 mkdir -p "${SERVE_DIR}"
 cat > "${SERVE_DIR}/batch.json" <<'EOF'
 [{"kind": "oracle_cell", "bench_a": "mcf",   "bench_b": "lbm",  "cycles_per_pair": 30000},
  {"kind": "oracle_cell", "bench_a": "mcf",   "bench_b": "mcf",  "cycles_per_pair": 30000},
- {"kind": "oracle_cell", "bench_a": "hmmer", "bench_b": "milc", "cycles_per_pair": 30000}]
+ {"kind": "oracle_cell", "bench_a": "hmmer", "bench_b": "milc", "cycles_per_pair": 30000},
+ {"kind": "population",  "population": 96,
+  "config": {"seed": 7, "cycles": 5000, "coreBench": [19, 19]}}]
 EOF
 "${FUZZ_DIR}/src/tools/vsmooth" serve --socket "${SERVE_DIR}/s.sock" \
       --workers 2 --ready-file "${SERVE_DIR}/ready" \
@@ -97,7 +101,7 @@ if grep -q '"cache": "miss"' "${SERVE_DIR}/pass2-full.txt"; then
     echo "error: cache miss on resubmission" >&2
     exit 1
 fi
-[ "$(grep -c '"cache": "hit"' "${SERVE_DIR}/pass2-full.txt")" -eq 3 ]
+[ "$(grep -c '"cache": "hit"' "${SERVE_DIR}/pass2-full.txt")" -eq 4 ]
 "${FUZZ_DIR}/src/tools/vsmooth" client --socket "${SERVE_DIR}/s.sock" \
       --batch "${SERVE_DIR}/batch.json" --results-only \
       > "${SERVE_DIR}/pass2.txt"
@@ -133,6 +137,39 @@ fi
       --batch "${SERVE_DIR}/batch-margin.json" --results-only \
       > "${SERVE_DIR}/margin2.txt"
 cmp "${SERVE_DIR}/margin1.txt" "${SERVE_DIR}/margin2.txt"
+
+# Connection churn: each closed client must give its descriptor back,
+# so 200 connect/ping/close cycles leave the daemon's fd count where
+# it started (a reader closes its fd just after its client does).
+daemon_fds() { ls "/proc/${SERVE_PID}/fd" | wc -l; }
+FDS_BEFORE="$(daemon_fds)"
+python3 - "${SERVE_DIR}/s.sock" <<'EOF'
+import socket
+import sys
+
+for i in range(200):
+    with socket.socket(socket.AF_UNIX) as s:
+        s.settimeout(30)
+        s.connect(sys.argv[1])
+        s.sendall(b'{"type": "ping"}\n')
+        reply = b""
+        while not reply.endswith(b"\n"):
+            chunk = s.recv(4096)
+            if not chunk:
+                break
+            reply += chunk
+        if b'"pong"' not in reply:
+            sys.exit(f"connection {i}: no pong, got {reply!r}")
+EOF
+for _ in $(seq 1 50); do
+    [ "$(daemon_fds)" -le "${FDS_BEFORE}" ] && break
+    sleep 0.1
+done
+if [ "$(daemon_fds)" -gt "${FDS_BEFORE}" ]; then
+    echo "error: daemon fds ${FDS_BEFORE} -> $(daemon_fds) after" \
+         "200 closed connections" >&2
+    exit 1
+fi
 kill -TERM "${SERVE_PID}"
 wait "${SERVE_PID}"
 
