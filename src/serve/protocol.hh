@@ -66,7 +66,7 @@ class LineReader
 };
 
 /** Write `payload` plus a newline, handling short writes; false on
- *  any write failure (peer gone). */
+ *  any write failure (peer gone, or the socket's send timeout). */
 bool sendLine(int fd, std::string_view payload);
 
 /** Structured error response. */

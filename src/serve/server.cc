@@ -5,6 +5,7 @@
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -37,6 +38,10 @@ std::atomic<int> g_signalPipe{-1};
  *  descriptors or memory before it tries again. */
 constexpr int kAcceptBackoffMs = 100;
 
+/** How long one write may block on a client that has stopped reading
+ *  before the daemon gives that client up. */
+constexpr time_t kSendTimeoutS = 3;
+
 extern "C" void
 onTermSignal(int)
 {
@@ -48,10 +53,18 @@ onTermSignal(int)
 }
 
 /** One client connection. Response lines are written under `writeM`
- *  so concurrent executor completions never interleave bytes. */
+ *  so concurrent executor completions never interleave bytes. A send
+ *  that fails or times out breaks the connection: later sends return
+ *  at once, so an executor never waits on that client again, and the
+ *  socket is shut down, so its reader sees EOF and retires. */
 struct Connection
 {
-    explicit Connection(int fd) : fd(fd) {}
+    explicit Connection(int fd) : fd(fd)
+    {
+        const timeval timeout{kSendTimeoutS, 0};
+        ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout,
+                     sizeof(timeout));
+    }
     ~Connection()
     {
         if (fd >= 0)
@@ -62,13 +75,20 @@ struct Connection
     send(const std::string &line)
     {
         std::lock_guard lk(writeM);
-        return sendLine(fd, line);
+        if (broken)
+            return false;
+        if (sendLine(fd, line))
+            return true;
+        broken = true;
+        ::shutdown(fd, SHUT_RDWR);
+        return false;
     }
 
     bool send(const Json &j) { return send(j.dump()); }
 
     int fd;
     std::mutex writeM;
+    bool broken = false; ///< guarded by writeM
 };
 
 /** Progress of one batch request; the executor completing the final
@@ -281,6 +301,9 @@ Server::run()
             Task t;
             while (queue_.pop(&t)) {
                 t.run();
+                // Drop the captures now: an idle executor must not keep
+                // its last batch's connection, and so its fd, open.
+                t = Task{};
                 queue_.taskDone();
             }
         });

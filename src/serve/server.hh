@@ -23,7 +23,10 @@
  * the one that retired before it, so at most one exited reader waits
  * to be joined (by the next to retire, or at drain). When accept()
  * runs out of descriptors or memory, the acceptor backs off instead
- * of polling straight back into the same failure.
+ * of polling straight back into the same failure. A client that
+ * stops reading is given up once a write to it has blocked for a few
+ * seconds: its connection is shut down and later sends to it return
+ * at once, so it cannot hold an executor.
  */
 
 #ifndef VSMOOTH_SERVE_SERVER_HH

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "cpu/fast_core.hh"
-#include "cpu/trace_core.hh"
 #include "sim/system.hh"
 #include "workload/microbench.hh"
 #include "workload/spec_suite.hh"
@@ -227,27 +226,6 @@ TEST(BlockIdentity, RunUntilFinishedHitsMaxCycles)
     SystemConfig cfg;
     runDifferential(cfg, 2, 0, true, /*loop=*/true,
                     /*maxCycles=*/37'119);
-}
-
-TEST(BlockIdentity, TraceCoreBlocks)
-{
-    cpu::ActivityTrace trace;
-    for (int i = 0; i < 5000; ++i)
-        trace.activity.push_back(0.2 + 0.7 * ((i * 37) % 100) / 100.0);
-
-    SystemConfig cfg;
-    cfg.osTickInterval = 613;
-    cfg.enableBlockedExecution = true;
-    System blocked(cfg);
-    cfg.enableBlockedExecution = false;
-    System scalar(cfg);
-    blocked.addCore(std::make_unique<cpu::TraceCore>(trace, false));
-    scalar.addCore(std::make_unique<cpu::TraceCore>(trace, false));
-    EXPECT_TRUE(blocked.blockedExecutionActive());
-
-    EXPECT_EQ(blocked.runUntilFinished(20'000),
-              scalar.runUntilFinished(20'000));
-    expectSystemsIdentical(blocked, scalar);
 }
 
 TEST(BlockIdentity, ChunkedRunsMatchOneShot)

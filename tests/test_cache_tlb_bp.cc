@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <functional>
+#include <vector>
+
 #include "cpu/branch_predictor.hh"
 #include "cpu/cache.hh"
+#include "cpu/fault_injector.hh"
 #include "cpu/tlb.hh"
 #include "common/rng.hh"
 
@@ -131,6 +136,147 @@ TEST(Tlb, FlushClears)
     tlb.access(0x1000);
     tlb.flush();
     EXPECT_FALSE(tlb.access(0x1000));
+}
+
+namespace {
+
+/** The reference `Tlb` must match, a linear-scan LRU TLB: every
+ *  access scans all entries, and a miss fills the last invalid entry,
+ *  else the least recently used one. */
+class ScanTlb
+{
+  public:
+    ScanTlb(std::uint32_t entries, FaultInjector &injector)
+        : entries_(entries), injector_(injector),
+          structureId_(injector.registerStructure("tlb"))
+    {
+    }
+
+    bool
+    access(Addr addr)
+    {
+        const Addr vpn = addr >> 12;
+        if (injector_.shouldFault(structureId_, hits_ + misses_)) {
+            for (auto &e : entries_) {
+                if (e.valid && e.vpn == vpn) {
+                    e.valid = false;
+                    break;
+                }
+            }
+        }
+        ++useClock_;
+        Entry *victim = &entries_.front();
+        for (auto &e : entries_) {
+            if (e.valid && e.vpn == vpn) {
+                e.lastUse = useClock_;
+                ++hits_;
+                return true;
+            }
+            if (!e.valid)
+                victim = &e;
+            else if (victim->valid && e.lastUse < victim->lastUse)
+                victim = &e;
+        }
+        *victim = {vpn, true, useClock_};
+        ++misses_;
+        return false;
+    }
+
+    void
+    flush()
+    {
+        for (auto &e : entries_)
+            e.valid = false;
+    }
+
+    std::uint64_t hits() const { return hits_; }
+    std::uint64_t misses() const { return misses_; }
+    std::uint64_t faults() const
+    { return injector_.faultCount(structureId_); }
+
+  private:
+    struct Entry
+    {
+        Addr vpn = 0;
+        bool valid = false;
+        std::uint64_t lastUse = 0;
+    };
+
+    std::vector<Entry> entries_;
+    FaultInjector &injector_;
+    std::size_t structureId_;
+    std::uint64_t useClock_ = 0;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+};
+
+} // namespace
+
+TEST(Tlb, MatchesTheLinearScanAtConstantCost)
+{
+    // One fault in about 20 accesses: faults drop resident entries.
+    FaultModelParams params;
+    params.rateAtZeroMargin = 0.05;
+    const std::function<Addr(std::uint64_t, Rng &)> streams[] = {
+        // random pages over twice the largest table
+        [](std::uint64_t, Rng &rng) {
+            return rng.uniformInt(0, 511) << 12;
+        },
+        // a stride of 7 pages through 200: fits only the largest table
+        [](std::uint64_t i, Rng &) { return (i * 7 % 200) << 12; },
+        // one page more than the table, cyclically: LRU thrashes
+        [](std::uint64_t i, Rng &) { return (i % 257) << 12; },
+        // a hot set of 8 pages with a cold page every fourth access
+        [](std::uint64_t i, Rng &rng) {
+            return (i % 4 ? rng.uniformInt(0, 7) : rng.uniformInt(8, 1007))
+                   << 12;
+        },
+    };
+    for (const std::uint32_t entries : {1u, 5u, 64u, 256u}) {
+        for (std::size_t k = 0; k < std::size(streams); ++k) {
+            FaultInjector fastFaults(params, 7), scanFaults(params, 7);
+            fastFaults.setMargin(0.0);
+            scanFaults.setMargin(0.0);
+            Tlb tlb(entries, 4096);
+            tlb.attachFaultInjector(&fastFaults,
+                                    fastFaults.registerStructure("tlb"));
+            ScanTlb scan(entries, scanFaults);
+            Rng rng(100 + k);
+            for (std::uint64_t i = 0; i < 20'000; ++i) {
+                if (i == 10'000) {
+                    tlb.flush();
+                    scan.flush();
+                }
+                const Addr addr = streams[k](i, rng) | (i & 0xfff);
+                ASSERT_EQ(tlb.access(addr), scan.access(addr))
+                    << entries << " entries, stream " << k << ", access "
+                    << i;
+                ASSERT_EQ(tlb.hits(), scan.hits());
+                ASSERT_EQ(tlb.misses(), scan.misses());
+                ASSERT_EQ(tlb.faults(), scan.faults());
+            }
+            EXPECT_GT(tlb.faults(), 0u);
+        }
+    }
+
+    // At 2^18 entries a scan would visit every entry on every access;
+    // the table's lookups take a few steps whatever its size. Looping
+    // over the capacity hits on every pass after the first, and over
+    // one page more misses every time.
+    constexpr std::uint64_t kEntries = 1 << 18;
+    const auto start = std::chrono::steady_clock::now();
+    for (const std::uint64_t pages : {kEntries, kEntries + 1}) {
+        Tlb tlb(kEntries, 4096);
+        for (std::uint64_t i = 0; i < 3 * pages; ++i) {
+            tlb.access((i % pages) << 12);
+            if (i % 4096 == 0) {
+                ASSERT_LT(std::chrono::steady_clock::now() - start,
+                          std::chrono::seconds(10))
+                    << "access cost grows with the table";
+            }
+        }
+        EXPECT_EQ(tlb.misses(), pages == kEntries ? pages : 3 * pages);
+    }
 }
 
 TEST(TlbDeath, InvalidConfig)

@@ -11,13 +11,15 @@
  * on the same connection — never a disconnect, never a dead daemon.
  * The lifecycle tests run the daemon with few descriptors: closed
  * connections must give theirs back, and running out must neither
- * spin the acceptor nor wedge it.
+ * spin the acceptor nor wedge it. A client that stops reading must
+ * not wedge the executors either.
  */
 
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/ioctl.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -501,12 +503,12 @@ fdCount(pid_t pid)
         fs::directory_iterator(dir), fs::directory_iterator()));
 }
 
-/** Whether process `pid` gets down to `fds` descriptors within 5 s
- *  (a reader closes its fd just after its client does). */
+/** Whether process `pid` gets down to `fds` descriptors within
+ *  `seconds` (a reader closes its fd just after its client does). */
 bool
-fdCountSettlesAt(pid_t pid, std::size_t fds)
+fdCountSettlesAt(pid_t pid, std::size_t fds, int seconds = 5)
 {
-    for (int i = 0; i < 250; ++i) {
+    for (int i = 0; i < 50 * seconds; ++i) {
         if (fdCount(pid) <= fds)
             return true;
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -711,4 +713,69 @@ TEST(ServeDaemon, RunningOutOfDescriptorsNeitherSpinsNorWedges)
     EXPECT_LT(cpuSeconds(daemon.pid) - idle, 0.2);
 
     EXPECT_EQ(daemon.terminate(), 0);
+}
+
+TEST(ServeDaemon, ClientThatStopsReadingCannotWedgeTheExecutors)
+{
+    // Client A submits cheap misses whose replies overflow its socket
+    // buffer, and never reads. Without a send timeout both executors
+    // block for good in A's writes and every other client's miss waits
+    // behind them.
+    const fs::path dir = scratchDir("stalled_reader");
+    Daemon daemon;
+    ASSERT_TRUE(daemon.start(dir));
+    const std::size_t fds = fdCount(daemon.pid);
+
+    const int a = connectUnix(daemon.sock);
+    std::string flood = "{\"type\": \"batch\", \"id\": \"a\", \"items\": [";
+    for (int i = 0; i < 2000; ++i) {
+        flood += i ? ", " : "";
+        flood += "{\"kind\": \"oracle_cell\", \"bench_a\": \"mcf\", "
+                 "\"bench_b\": \"lbm\", \"cycles_per_pair\": " +
+                 std::to_string(100 + i) + "}";
+    }
+    ASSERT_TRUE(sendLine(a, flood + "]}"));
+    // Once A's replies stop arriving, the daemon is stuck writing to A.
+    int pending = 0, last = -1;
+    for (int i = 0; i < 100 && (pending <= 0 || pending != last); ++i) {
+        last = pending;
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        ::ioctl(a, FIONREAD, &pending);
+    }
+
+    // Client B's miss must be answered within the daemon's 3 s send
+    // timeout plus slack, resubmitted while the queue is busy.
+    const int b = connectUnix(daemon.sock);
+    const timeval slack{15, 0};
+    ::setsockopt(b, SOL_SOCKET, SO_RCVTIMEO, &slack, sizeof(slack));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(15);
+    LineReader reader(b);
+    std::string line;
+    bool served = false;
+    while (!served && std::chrono::steady_clock::now() < deadline) {
+        ASSERT_TRUE(sendLine(
+            b, "{\"type\": \"batch\", \"id\": \"b\", \"items\": "
+               "[{\"kind\": \"oracle_cell\", \"bench_a\": \"hmmer\", "
+               "\"bench_b\": \"milc\", \"cycles_per_pair\": 100}]}"));
+        while (reader.next(&line) == LineReader::Status::Line &&
+               line.find("\"batch_done\"") == std::string::npos)
+            served |= line.find("\"type\": \"result\"") !=
+                      std::string::npos;
+        if (!served)
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    ::close(b);
+    if (!served) {
+        ::close(a);
+        ::kill(daemon.pid, SIGKILL); // a wedged daemon cannot drain
+        FAIL() << "client B's miss got no result while A stopped reading";
+    }
+
+    // The daemon gave A up: its descriptor is gone while A still holds
+    // its end open.
+    EXPECT_TRUE(fdCountSettlesAt(daemon.pid, fds, 15))
+        << fdCount(daemon.pid) << " fds open, " << fds << " before";
+    EXPECT_EQ(daemon.terminate(), 0);
+    ::close(a);
 }

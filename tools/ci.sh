@@ -2,8 +2,9 @@
 # Full CI pass: configure, build, unit tests, golden-result
 # regression, the benchmark's self-test, a ThreadSanitizer smoke of
 # the parallel sweep engine, an ASan+UBSan property-fuzzing smoke
-# over every property, an ASan+UBSan serve-daemon round trip (cache
-# resubmission, connection churn + SIGTERM drain), and a
+# over every property, an ASan+UBSan serve-daemon round trip (a
+# client that stops reading, cache resubmission, connection churn +
+# SIGTERM drain), and a
 # clean-work-tree check. Run from the repository root:
 #
 #   tools/ci.sh [build-dir]
@@ -15,7 +16,10 @@ BUILD_DIR="${1:-build}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
 echo "== configure + build (${BUILD_DIR}) =="
-cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release
+# Threads and GoogleTest are the only packages the build needs: the
+# configure fails if it looks for google-benchmark again.
+cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release \
+      -DCMAKE_DISABLE_FIND_PACKAGE_benchmark=TRUE
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 
 echo "== tier-1: unit + CLI tests =="
@@ -29,7 +33,6 @@ echo "== benchmark gate: perfbench self-test =="
 # Builds the benchmark (Release) into an ignored build tree and shows
 # its correctness gate can fail: a perturbed golden through `vsmooth
 # verify` and a flipped serve byte must each count as a failure.
-# tools/bench.sh stays for recording microbenchmarks by hand.
 CARGO_TARGET_DIR="${BUILD_DIR}-perfbench" python3 perfbench/run.py --selftest
 
 echo "== TSan smoke: parallel sweep engine =="
@@ -65,7 +68,11 @@ cmp "${FUZZ_DIR}/fuzz-summary-a.json" "${FUZZ_DIR}/fuzz-summary-b.json"
 "${FUZZ_DIR}/src/tools/vsmooth" fuzz --corpus tests/corpus \
       --summary "${FUZZ_DIR}/fuzz-corpus-summary.json"
 
-echo "== ASan+UBSan serve: cached batch, connection churn, SIGTERM drain =="
+echo "== ASan+UBSan serve: stalled reader, cached batch, connection churn, SIGTERM drain =="
+# A client that stops reading must not wedge the executors: another
+# client's miss is still answered, and the daemon drops the stalled one.
+"${FUZZ_DIR}/tests/vsmooth_tests" \
+      --gtest_filter='ServeDaemon.ClientThatStopsReadingCannotWedgeTheExecutors'
 # Boot the daemon on a Unix socket, submit an oracle-matrix and
 # population batch twice, and require the second pass to be answered
 # entirely from the content-addressed cache with byte-identical
