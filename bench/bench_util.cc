@@ -6,9 +6,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
+#include <iterator>
+#include <optional>
+#include <sstream>
 #include <string_view>
 
 #include "common/fsio.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/simd.hh"
@@ -218,124 +223,6 @@ runPopulation(Cycles cyclesPerRun, double decapFraction,
 
 namespace {
 
-constexpr std::string_view kPopulationFormat = "vsmooth-population 1";
-/** Sanity cap on the margin count a file may declare. */
-constexpr std::uint64_t kMaxMargins = 4096;
-
-} // namespace
-
-bool
-Population::save(std::ostream &os, const std::string &key,
-                 const std::vector<Population> &pops)
-{
-    const std::size_t bins = noise::Scope().histogram().numBins();
-    os << kPopulationFormat << "\nkey " << key << "\npopulations";
-    writeField(os, pops.size());
-    os << " bins";
-    writeField(os, bins);
-    os << "\n";
-    for (const auto &pop : pops) {
-        const Histogram &h = pop.scope.histogram();
-        const auto &e = pop.emergencies;
-        os << "population";
-        writeField(os, pop.runs);
-        writeField(os, h.totalCount());
-        writeField(os, h.underflowCount());
-        writeField(os, h.overflowCount());
-        writeField(os, h.minSample());
-        writeField(os, h.maxSample());
-        os << "\ncounts";
-        for (std::size_t i = 0; i < bins; ++i)
-            writeField(os, h.binCount(i));
-        os << "\nemergencies";
-        writeField(os, e.cycles);
-        writeField(os, e.margins.size());
-        for (double m : e.margins)
-            writeField(os, m);
-        for (std::uint64_t c : e.counts)
-            writeField(os, c);
-        os << "\n";
-    }
-    os << "end\n";
-    return os.good();
-}
-
-std::optional<std::vector<Population>>
-Population::load(std::istream &is, const std::string &key,
-                 std::size_t count)
-{
-    std::vector<Population> pops(count);
-    std::vector<std::uint64_t> bins(noise::Scope().histogram().numBins());
-    std::string line;
-    // The next line, opening with `label`, as fields after it.
-    auto labelled = [&](std::string_view label) -> std::optional<Fields> {
-        if (!std::getline(is, line))
-            return std::nullopt;
-        Fields f(line);
-        if (f.word() != label)
-            return std::nullopt;
-        return f;
-    };
-    if (!std::getline(is, line) || line != kPopulationFormat ||
-        !std::getline(is, line) || line != "key " + key)
-        return std::nullopt;
-    std::uint64_t n = 0, nBins = 0;
-    auto header = labelled("populations");
-    if (!header || !header->next(n) || header->word() != "bins" ||
-        !header->next(nBins) || !header->done() || n != count ||
-        nBins != bins.size())
-        return std::nullopt;
-
-    auto readPopulation = [&](Population &pop) {
-        std::uint64_t runs = 0, total = 0, under = 0, over = 0;
-        double min = 0.0, max = 0.0;
-        auto head = labelled("population");
-        if (!head || !head->next(runs) || !head->next(total) ||
-            !head->next(under) || !head->next(over) ||
-            !head->next(min) || !head->next(max) || !head->done())
-            return false;
-        auto counts = labelled("counts");
-        if (!counts)
-            return false;
-        for (auto &c : bins)
-            if (!counts->next(c))
-                return false;
-        if (!counts->done())
-            return false;
-        pop.runs = runs;
-        pop.scope.restore(bins, under, over, min, max);
-        if (pop.scope.histogram().totalCount() != total)
-            return false;
-
-        auto &e = pop.emergencies;
-        std::uint64_t nMargins = 0;
-        auto em = labelled("emergencies");
-        if (!em || !em->next(e.cycles) || !em->next(nMargins) ||
-            nMargins > kMaxMargins)
-            return false;
-        e.margins.resize(nMargins);
-        e.counts.resize(nMargins);
-        for (double &m : e.margins)
-            if (!em->next(m))
-                return false;
-        for (auto &c : e.counts)
-            if (!em->next(c))
-                return false;
-        return em->done();
-    };
-    for (auto &pop : pops)
-        if (!readPopulation(pop))
-            return std::nullopt;
-    // The end marker, then nothing: a file cut anywhere before it, or
-    // holding anything after it, is not these populations.
-    if (!std::getline(is, line) || line != "end" ||
-        is.peek() != std::istream::traits_type::eof())
-        return std::nullopt;
-    return pops;
-}
-
-namespace {
-
 /**
  * FNV-1a digest of this executable's bytes. Each 64 KiB chunk is
  * hashed, then the chunk digests, so the file is never held in memory
@@ -358,7 +245,7 @@ executableHash()
 }
 
 /**
- * The pre-run cache key: the executable hash (it fixes the model and
+ * The study cache key: the executable hash (it fixes the model and
  * every study config) plus the execution path the Results claim.
  * Empty when the executable cannot be hashed.
  */
@@ -390,38 +277,137 @@ cachePath(const std::string &study)
         .string();
 }
 
+constexpr std::string_view kStudyFormat = "vsmooth-study-output 1";
+
+/** The text of `r`'s Result file. */
+std::string
+resultFileText(const Result &r)
+{
+    std::ostringstream os;
+    r.toJson().write(os, 2);
+    os << "\n";
+    return os.str();
+}
+
+/**
+ * Write `text` to $VSMOOTH_RESULT_DIR/<experiment>.json; with the
+ * variable unset no file is written. Every Result file, emitted or
+ * replayed, is written here.
+ */
+void
+writeResultFile(const std::string &experiment, const std::string &text)
+{
+    const char *dir = std::getenv("VSMOOTH_RESULT_DIR");
+    if (!dir || !*dir)
+        return;
+    const std::string path = std::string(dir) + "/" + experiment + ".json";
+    std::ofstream out(path);
+    if (!out)
+        fatal("cannot write result file '%s'", path.c_str());
+    out << text;
+    if (!out.good())
+        fatal("error writing result file '%s'", path.c_str());
+}
+
+/**
+ * Run `run` with std::cout captured (and restored, even if it
+ * throws), and record under `key` what it printed and each Result's
+ * experiment name and file text.
+ */
+Json
+runAndRecord(const std::string &key,
+             const std::function<std::vector<Result>()> &run)
+{
+    std::ostringstream captured;
+    std::vector<Result> results;
+    {
+        struct Redirect
+        {
+            std::streambuf *saved;
+            ~Redirect() { std::cout.rdbuf(saved); }
+        } redirect{std::cout.rdbuf(captured.rdbuf())};
+        results = run();
+    }
+    Json files = Json::array();
+    for (const Result &r : results) {
+        Json file = Json::object();
+        file.set("experiment", r.experiment());
+        file.set("file", resultFileText(r));
+        files.push(std::move(file));
+    }
+    Json record = Json::object();
+    record.set("format", std::string(kStudyFormat));
+    record.set("key", key);
+    record.set("stdout", captured.str());
+    record.set("results", std::move(files));
+    return record;
+}
+
+/** Whether `record` is a whole study record written under `key`. */
+bool
+isStudyRecord(const Json &record, const std::string &key)
+{
+    auto text = [](const Json &j, std::string_view name,
+                   std::optional<std::string_view> value = {}) {
+        const Json *v = j.find(name);
+        return v && v->isString() && (!value || v->asString() == *value);
+    };
+    const Json *results = record.find("results");
+    return text(record, "format", kStudyFormat) &&
+        text(record, "key", key) && text(record, "stdout") && results &&
+        results->isArray() &&
+        std::all_of(results->asArray().begin(), results->asArray().end(),
+                    [&](const Json &r) {
+                        return text(r, "experiment") && text(r, "file");
+                    });
+}
+
 } // namespace
 
 void
-cachedPrerun(
-    const std::string &study,
-    const std::function<bool(std::istream &, const std::string &)> &load,
-    const std::function<void()> &build,
-    const std::function<bool(std::ostream &, const std::string &)> &save)
+cachedStudy(const std::string &study,
+            const std::function<std::vector<Result>()> &run)
 {
     const std::string path = cachePath(study);
     const std::string key = cacheKey();
+    Json record;
+    auto build = [&] { record = runAndRecord(key, run); };
     if (path.empty() || key.empty()) {
-        inform("%s: no usable pre-run cache; building", study.c_str());
+        inform("%s: no usable output cache; running", study.c_str());
         build();
-        return;
+    } else {
+        const CacheOutcome outcome = loadOrBuild(
+            path,
+            [&](std::istream &is) {
+                record = Json::parse(
+                    std::string(std::istreambuf_iterator<char>(is), {}));
+                return isStudyRecord(record, key);
+            },
+            build,
+            [&](std::ostream &os) {
+                record.write(os);
+                os << "\n";
+                return os.good();
+            });
+        switch (outcome) {
+          case CacheOutcome::Hit:
+            inform("%s: output replayed from %s", study.c_str(),
+                   path.c_str());
+            break;
+          case CacheOutcome::Miss:
+            inform("%s: ran; output saved to %s", study.c_str(),
+                   path.c_str());
+            break;
+          case CacheOutcome::Unusable:
+            inform("%s: ran; cache %s not usable", study.c_str(),
+                   path.c_str());
+            break;
+        }
     }
-    const CacheOutcome outcome = loadOrBuild(
-        path, [&](std::istream &is) { return load(is, key); }, build,
-        [&](std::ostream &os) { return save(os, key); });
-    switch (outcome) {
-      case CacheOutcome::Hit:
-        inform("%s: pre-run read from %s", study.c_str(), path.c_str());
-        break;
-      case CacheOutcome::Miss:
-        inform("%s: pre-run built, saved to %s", study.c_str(),
-               path.c_str());
-        break;
-      case CacheOutcome::Unusable:
-        inform("%s: pre-run built; cache %s not usable", study.c_str(),
-               path.c_str());
-        break;
-    }
+    std::cout << record.at("stdout").asString() << std::flush;
+    for (const Json &r : record.at("results").asArray())
+        writeResultFile(r.at("experiment").asString(),
+                        r.at("file").asString());
 }
 
 Result
@@ -438,18 +424,7 @@ makeResult(std::string experiment, std::uint64_t seed)
 void
 emitResult(const Result &r)
 {
-    const char *dir = std::getenv("VSMOOTH_RESULT_DIR");
-    if (!dir || !*dir)
-        return;
-    const std::string path =
-        std::string(dir) + "/" + r.experiment() + ".json";
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot write result file '%s'", path.c_str());
-    r.toJson().write(out, 2);
-    out << "\n";
-    if (!out.good())
-        fatal("error writing result file '%s'", path.c_str());
+    writeResultFile(r.experiment(), resultFileText(r));
 }
 
 } // namespace vsmooth::bench

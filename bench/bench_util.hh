@@ -5,7 +5,7 @@
  * Every bench binary prints the paper's rows or series through
  * TextTable so the reproduction output is uniform; this header holds
  * the run plumbing they share (single runs, pair runs, population
- * aggregation over the 29 + 11 + pairs workload set, and the pre-run
+ * aggregation over the 29 + 11 + pairs workload set, and the output
  * cache of the study binaries).
  */
 
@@ -13,10 +13,7 @@
 #define VSMOOTH_BENCH_BENCH_UTIL_HH
 
 #include <functional>
-#include <istream>
 #include <memory>
-#include <optional>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -108,24 +105,6 @@ struct Population
     noise::Scope scope;
     resilience::EmergencyProfile emergencies;
     std::size_t runs = 0;
-
-    /**
-     * Stream `pops` in load()'s format, headed by `key`: per
-     * population its run count, the scope histogram's exact state and
-     * the emergency profile, doubles as their bit patterns. Returns
-     * false on a stream error.
-     */
-    static bool save(std::ostream &os, const std::string &key,
-                     const std::vector<Population> &pops);
-
-    /**
-     * The `count` populations save() wrote under exactly `key`. Any
-     * other input (another key, population count or bin count, a
-     * truncated stream, a malformed token, trailing data) yields
-     * nullopt, never a partial population.
-     */
-    static std::optional<std::vector<Population>>
-    load(std::istream &is, const std::string &key, std::size_t count);
 };
 
 /**
@@ -139,21 +118,22 @@ Population runPopulation(Cycles cyclesPerRun, double decapFraction,
                          std::uint64_t seed = 1);
 
 /**
- * Run a study's pre-run once per `vsmooth verify` pass: the study's
- * processes share it through the file <temp dir>/vsmooth-<uid>/
- * <study>.cache. Its key hashes this executable's bytes and names the
- * execution path the Results claim (SIMD level, job count, raw
- * VSMOOTH_SCALAR_TICK), so any rebuild, or a run on another path,
- * misses. `load` reads a pre-run saved under the given key and
- * returns true; otherwise `build` runs the pre-run and `save` writes
- * it under that key (common/fsio's loadOrBuild). Says on stderr,
- * under the study's name, whether it was built or read.
+ * Run a study once per `vsmooth verify` pass: `run` prints the
+ * study's tables to std::cout and returns its Results, and the
+ * study's processes share that output through the file
+ * <temp dir>/vsmooth-<uid>/<study>.cache. Its key hashes this
+ * executable's bytes and names the execution path the Results claim
+ * (SIMD level, job count, raw VSMOOTH_SCALAR_TICK), so any rebuild, or
+ * a run on another path, misses. A miss runs `run` with std::cout
+ * captured, then saves the printed bytes and each Result's file text
+ * under the key (common/fsio's loadOrBuild); a hit reads them back
+ * instead of calling `run`. Either way the same bytes are then printed
+ * and written as the Result files emitResult() would write, so a
+ * replay is byte-identical to the run by construction. Says on
+ * stderr, under the study's name, whether it ran or replayed.
  */
-void cachedPrerun(
-    const std::string &study,
-    const std::function<bool(std::istream &, const std::string &)> &load,
-    const std::function<void()> &build,
-    const std::function<bool(std::ostream &, const std::string &)> &save);
+void cachedStudy(const std::string &study,
+                 const std::function<std::vector<Result>()> &run);
 
 /**
  * Start a structured Result for one experiment, stamped with the

@@ -6,15 +6,15 @@
  * four tables in that order and emits one Result per experiment.
  *
  * `vsmooth verify` runs it once per registry name, so checking the
- * four experiments takes four processes. The pre-run matrix therefore
- * also lives in one file, <temp dir>/vsmooth-<uid>/oracle_study.cache
- * (bench::cachedPrerun): the first process builds and writes it, the
- * others read it. A fresh TMPDIR, or deleting the file, forces a cold
- * run.
+ * four experiments takes four processes. The study's output (its
+ * printed tables and four Result files) therefore also lives in one
+ * file, <temp dir>/vsmooth-<uid>/oracle_study.cache
+ * (bench::cachedStudy): the first process runs the study and writes
+ * it, the others replay it. A fresh TMPDIR, or deleting the file,
+ * forces a cold run.
  */
 
 #include <iostream>
-#include <optional>
 
 #include "bench_util.hh"
 #include "common/statistics.hh"
@@ -28,8 +28,7 @@ using namespace vsmooth;
 
 namespace {
 
-/** The Proc3 pre-run, read from the study's cache when it holds one
- *  for this executable and execution path. */
+/** The Proc3 pre-run: every pair of the suite, measured once. */
 sched::OracleMatrix
 proc3Matrix()
 {
@@ -38,20 +37,7 @@ proc3Matrix()
         pdn::PackageConfig::core2duo().withDecapFraction(0.03);
     cfg.cyclesPerPair = 800'000;
     cfg.droopMargin = sim::kProc3DroopMargin;
-    const auto &suite = workload::specCpu2006();
-
-    std::optional<sched::OracleMatrix> matrix;
-    bench::cachedPrerun(
-        "oracle_study",
-        [&](std::istream &is, const std::string &key) {
-            matrix = sched::OracleMatrix::load(is, suite, cfg, key);
-            return matrix.has_value();
-        },
-        [&] { matrix.emplace(suite, cfg); },
-        [&](std::ostream &os, const std::string &key) {
-            return matrix->save(os, key);
-        });
-    return std::move(*matrix);
+    return sched::OracleMatrix(workload::specCpu2006(), cfg);
 }
 
 /**
@@ -65,7 +51,7 @@ proc3Matrix()
  * SPECrate baseline. libquantum is the famous outlier with almost no
  * spread.
  */
-void
+Result
 fig17(const sched::OracleMatrix &matrix)
 {
     TextTable table(
@@ -109,7 +95,7 @@ fig17(const sched::OracleMatrix &matrix)
               << TextTable::num(better_pct, 0)
               << "% (paper: over half show room for improvement)\n";
     result.metric("better_than_specrate_pct", better_pct);
-    bench::emitResult(result);
+    return result;
 }
 
 std::vector<std::size_t>
@@ -133,7 +119,7 @@ makePool(std::size_t suiteSize, std::size_t copies)
  * droops with a slight performance gain (quadrant Q1); the hybrid
  * IPC/Droop^n traces the Q1 pareto frontier as n varies.
  */
-void
+Result
 fig18(const sched::OracleMatrix &matrix)
 {
     // Pool sized so one batch is ~50 pairs, like the paper.
@@ -201,11 +187,11 @@ fig18(const sched::OracleMatrix &matrix)
         result.seriesPoint("hybrid_performance_rel", norm.performance);
     }
     table.print(std::cout);
-    bench::emitResult(result);
     std::cout << "\nPaper: Random ~ SPECrate; IPC boosts performance at"
                  " Random's droop level; Droop minimizes droops (Q1"
                  " with slight perf gain); the hybrid spans the Q1"
                  " pareto frontier.\n";
+    return result;
 }
 
 /**
@@ -218,7 +204,7 @@ fig18(const sched::OracleMatrix &matrix)
  * stays consistently ahead and wins clearly at coarse (1000+ cycle)
  * recovery — the argument for noise-aware scheduling.
  */
-void
+Result
 fig19(const sched::OracleMatrix &matrix)
 {
     // One job pool: two copies of every benchmark (29 pairs formed,
@@ -278,7 +264,7 @@ fig19(const sched::OracleMatrix &matrix)
     std::cout << "\nPaper: ~60% increase for both at 10-cycle recovery;"
                  " IPC's benefit decays with cost; Droop consistently"
                  " outperforms IPC and wins at 1000+ cycles.\n";
-    bench::emitResult(result);
+    return result;
 }
 
 /**
@@ -291,7 +277,7 @@ fig19(const sched::OracleMatrix &matrix)
  * 8.6 % (100k), expected improvement falls 15.7 % -> 9.7 %, and the
  * passing count collapses 28 -> 9 as recovery coarsens.
  */
-void
+Result
 table1(const sched::OracleMatrix &matrix)
 {
     const auto rows =
@@ -324,10 +310,10 @@ table1(const sched::OracleMatrix &matrix)
                       static_cast<double>(r.passingSpecRate));
     }
     table.print(std::cout);
-    bench::emitResult(result);
     std::cout << "\nShape targets: margins relax and improvement falls"
                  " as recovery coarsens; the passing count collapses"
                  " beyond ~10-cycle recovery.\n";
+    return result;
 }
 
 } // namespace
@@ -335,13 +321,17 @@ table1(const sched::OracleMatrix &matrix)
 int
 main()
 {
-    const sched::OracleMatrix matrix = proc3Matrix();
-    fig17(matrix);
-    std::cout << "\n";
-    fig18(matrix);
-    std::cout << "\n";
-    fig19(matrix);
-    std::cout << "\n";
-    table1(matrix);
+    bench::cachedStudy("oracle_study", [] {
+        const sched::OracleMatrix matrix = proc3Matrix();
+        std::vector<Result> results;
+        results.push_back(fig17(matrix));
+        std::cout << "\n";
+        results.push_back(fig18(matrix));
+        std::cout << "\n";
+        results.push_back(fig19(matrix));
+        std::cout << "\n";
+        results.push_back(table1(matrix));
+        return results;
+    });
     return 0;
 }

@@ -8,12 +8,12 @@
  * emits one Result per experiment.
  *
  * `vsmooth verify` runs it once per registry name, so checking the
- * four experiments takes four processes. The four populations
- * therefore also live in one file,
- * <temp dir>/vsmooth-<uid>/population_study.cache
- * (bench::cachedPrerun): the first process builds and writes them, the
- * others read them back bit for bit. A fresh TMPDIR, or deleting the
- * file, forces a cold run.
+ * four experiments takes four processes. The study's output (its
+ * printed tables and four Result files) therefore also lives in one
+ * file, <temp dir>/vsmooth-<uid>/population_study.cache
+ * (bench::cachedStudy): the first process runs the study and writes
+ * it, the others replay it. A fresh TMPDIR, or deleting the file,
+ * forces a cold run.
  */
 
 #include <algorithm>
@@ -34,29 +34,14 @@ namespace {
 constexpr std::array<double, 3> kFutureDecaps = {1.0, 0.25, 0.03};
 
 /** Fig 7/8's Proc100 population, then Fig 9/10's population for each
- *  kFutureDecaps entry, read from the study's cache when it holds them
- *  for this executable and execution path. */
+ *  kFutureDecaps entry. */
 std::vector<bench::Population>
 populations()
 {
     std::vector<bench::Population> pops;
-    bench::cachedPrerun(
-        "population_study",
-        [&](std::istream &is, const std::string &key) {
-            auto loaded = bench::Population::load(
-                is, key, 1 + kFutureDecaps.size());
-            if (loaded)
-                pops = std::move(*loaded);
-            return loaded.has_value();
-        },
-        [&] {
-            pops.push_back(bench::runPopulation(150'000, 1.0));
-            for (double frac : kFutureDecaps)
-                pops.push_back(bench::runPopulation(100'000, frac));
-        },
-        [&](std::ostream &os, const std::string &key) {
-            return bench::Population::save(os, key, pops);
-        });
+    pops.push_back(bench::runPopulation(150'000, 1.0));
+    for (double frac : kFutureDecaps)
+        pops.push_back(bench::runPopulation(100'000, frac));
     return pops;
 }
 
@@ -69,7 +54,7 @@ populations()
  * worst-case margin is justified), but the typical case is +/-4 %,
  * with only ~0.06 % of samples beyond it.
  */
-void
+Result
 fig07(const bench::Population &pop)
 {
     auto result = bench::makeResult("fig07_voltage_cdf");
@@ -90,7 +75,6 @@ fig07(const bench::Population &pop)
     result.metric("max_droop_pct", pop.scope.maxDroop() * 100);
     result.metric("max_overshoot_pct", pop.scope.maxOvershoot() * 100);
     result.metric("beyond_4pct_pct", beyond * 100);
-    bench::emitResult(result);
     std::cout << "\nRuns aggregated: " << pop.runs << "\n"
               << "Max droop: "
               << TextTable::num(pop.scope.maxDroop() * 100, 2)
@@ -103,6 +87,7 @@ fig07(const bench::Population &pop)
               << "% (paper: 0.06%)\n"
               << "Worst-case margin of the part: 14% -> still needed"
                  " for the rare deep droops, but far from typical.\n";
+    return result;
 }
 
 /**
@@ -113,7 +98,7 @@ fig07(const bench::Population &pop)
  * cost, 13-21 % gains at the optimum, and a "dead zone" past the
  * optimum where recoveries erase the gains (improvement < 0).
  */
-void
+Result
 fig08(const bench::Population &pop)
 {
     const auto &costs = sim::recoveryCostSweep();
@@ -151,10 +136,10 @@ fig08(const bench::Population &pop)
         result.metric("improvement_pct_cost" + TextTable::num(c),
                       best.improvementPercent);
     }
-    bench::emitResult(result);
     std::cout << "\nPaper: gains between 13% and ~21%; overly"
                  " aggressive margins fall into the dead zone"
                  " (below 0%).\n";
+    return result;
 }
 
 /**
@@ -166,7 +151,7 @@ fig08(const bench::Population &pop)
  * but ~0.2 % on Proc25 and ~2.2 % on Proc3, which is what erodes
  * resilient-design gains in future nodes.
  */
-void
+Result
 fig09(std::span<const bench::Population> future)
 {
     TextTable table("Fig 9: sample distribution spread vs decap");
@@ -193,10 +178,10 @@ fig09(std::span<const bench::Population> future)
                       pop.scope.visualPeakToPeak() * 100);
     }
     table.print(std::cout);
-    bench::emitResult(result);
     std::cout << "\nPaper: 0.06% (Proc100), 0.2% (Proc25), 2.2% (Proc3)"
                  " of samples beyond the -4% typical-case margin;"
                  " Proc3's distribution visibly wider.\n";
+    return result;
 }
 
 /**
@@ -208,7 +193,7 @@ fig09(std::span<const bench::Population> future)
  * 15 % gain requires a 1000-cycle recovery on Proc100, ~100 cycles on
  * Proc25, and ~10 cycles on Proc3 (the paper's long-term argument).
  */
-void
+Result
 fig10(std::span<const bench::Population> future)
 {
     auto result = bench::makeResult("fig10_heatmaps");
@@ -256,7 +241,7 @@ fig10(std::span<const bench::Population> future)
     std::cout << "Paper: the blue high-improvement pocket (-6%..-2%)"
                  " shrinks from Proc100 to Proc25 and Proc3; finer"
                  " recovery is needed to retain 15%.\n";
-    bench::emitResult(result);
+    return result;
 }
 
 } // namespace
@@ -264,12 +249,12 @@ fig10(std::span<const bench::Population> future)
 int
 main()
 {
-    const auto pops = populations();
-    const std::span<const bench::Population> future(pops.begin() + 1,
-                                                    pops.end());
-    fig07(pops.front());
-    fig08(pops.front());
-    fig09(future);
-    fig10(future);
+    bench::cachedStudy("population_study", [] {
+        const auto pops = populations();
+        const std::span<const bench::Population> future(pops.begin() + 1,
+                                                        pops.end());
+        return std::vector<Result>{fig07(pops.front()), fig08(pops.front()),
+                                   fig09(future), fig10(future)};
+    });
     return 0;
 }

@@ -3,10 +3,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <bit>
 #include <cerrno>
-#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -87,52 +84,6 @@ loadOrBuild(const std::string &file,
     build();
     return writeFileAtomic(file, save) ? CacheOutcome::Miss
                                        : CacheOutcome::Unusable;
-}
-
-std::string_view
-Fields::word()
-{
-    const auto begin = rest_.find_first_not_of(' ');
-    if (begin == std::string_view::npos)
-        return {};
-    rest_.remove_prefix(begin);
-    const auto end = std::min(rest_.find(' '), rest_.size());
-    const auto w = rest_.substr(0, end);
-    rest_.remove_prefix(end);
-    return w;
-}
-
-bool
-Fields::next(std::uint64_t &v, int base)
-{
-    const auto w = word();
-    const auto [end, ec] =
-        std::from_chars(w.data(), w.data() + w.size(), v, base);
-    return !w.empty() && ec == std::errc() && end == w.data() + w.size();
-}
-
-bool
-Fields::next(double &v)
-{
-    std::uint64_t bits = 0;
-    if (!next(bits, 16))
-        return false;
-    v = std::bit_cast<double>(bits);
-    return true;
-}
-
-void
-writeField(std::ostream &os, std::uint64_t v, int base)
-{
-    char buf[24];
-    const auto end = std::to_chars(buf, buf + sizeof(buf), v, base).ptr;
-    os << ' ' << std::string_view(buf, static_cast<std::size_t>(end - buf));
-}
-
-void
-writeField(std::ostream &os, double v)
-{
-    writeField(os, std::bit_cast<std::uint64_t>(v), 16);
 }
 
 } // namespace vsmooth

@@ -11,18 +11,16 @@
  * all-or-nothing.
  *
  * loadOrBuild keeps an expensive value in a one-file cache on top of
- * it, and Fields / writeField are the strict text codec its files use.
+ * it.
  */
 
 #ifndef VSMOOTH_COMMON_FSIO_HH
 #define VSMOOTH_COMMON_FSIO_HH
 
-#include <cstdint>
 #include <functional>
 #include <istream>
 #include <ostream>
 #include <string>
-#include <string_view>
 
 namespace vsmooth {
 
@@ -69,34 +67,6 @@ CacheOutcome loadOrBuild(const std::string &file,
                          const std::function<bool(std::istream &)> &load,
                          const std::function<void()> &build,
                          const std::function<bool(std::ostream &)> &save);
-
-/**
- * The space-separated fields of one cache-file line, read strictly:
- * unsigned integers in full, doubles as the hex bit patterns
- * writeField() wrote, so every value reads back bit for bit.
- */
-class Fields
-{
-  public:
-    explicit Fields(std::string_view line) : rest_(line) {}
-
-    /** The next field, or an empty view when none is left. */
-    std::string_view word();
-    /** The next field as an unsigned integer, all of it digits. */
-    bool next(std::uint64_t &v, int base = 10);
-    /** The next field as a double's bit pattern (hex). */
-    bool next(double &v);
-    /** True when no field is left. */
-    bool done() { return word().empty(); }
-
-  private:
-    std::string_view rest_;
-};
-
-/** Append ` <v>` in `base` (Fields::next reads it back). */
-void writeField(std::ostream &os, std::uint64_t v, int base = 10);
-/** Append ` <bit pattern of v in hex>`. */
-void writeField(std::ostream &os, double v);
 
 } // namespace vsmooth
 

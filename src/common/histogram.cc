@@ -133,24 +133,6 @@ Histogram::clear()
     max_ = -std::numeric_limits<double>::infinity();
 }
 
-void
-Histogram::restore(std::span<const std::uint64_t> counts,
-                   std::uint64_t underflow, std::uint64_t overflow,
-                   double min, double max)
-{
-    if (counts.size() != counts_.size())
-        panic("Histogram::restore: %zu counts for %zu bins",
-              counts.size(), counts_.size());
-    std::copy(counts.begin(), counts.end(), counts_.begin());
-    underflow_ = underflow;
-    overflow_ = overflow;
-    total_ = underflow + overflow;
-    for (std::uint64_t c : counts)
-        total_ += c;
-    min_ = min;
-    max_ = max;
-}
-
 double
 Histogram::binCenter(std::size_t i) const
 {

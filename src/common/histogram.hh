@@ -13,7 +13,6 @@
 #define VSMOOTH_COMMON_HISTOGRAM_HH
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace vsmooth {
@@ -73,17 +72,6 @@ class Histogram
 
     /** Reset all counts. */
     void clear();
-
-    /**
-     * Replace the whole state with a saved one, as read from a
-     * histogram of this layout through binCount(), underflowCount(),
-     * overflowCount(), minSample() and maxSample(). The total becomes
-     * their count sum, as after any sequence of adds. Panics unless
-     * there are numBins() counts.
-     */
-    void restore(std::span<const std::uint64_t> counts,
-                 std::uint64_t underflow, std::uint64_t overflow,
-                 double min, double max);
 
     std::uint64_t totalCount() const { return total_; }
     std::size_t numBins() const { return counts_.size(); }

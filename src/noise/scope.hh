@@ -37,14 +37,6 @@ class Scope
 
     const Histogram &histogram() const { return histogram_; }
 
-    /** Restore a capture saved from histogram() (Histogram::restore). */
-    void
-    restore(std::span<const std::uint64_t> counts, std::uint64_t underflow,
-            std::uint64_t overflow, double min, double max)
-    {
-        histogram_.restore(counts, underflow, overflow, min, max);
-    }
-
     /** Largest droop seen, as a positive fraction (e.g. 0.096). */
     double maxDroop() const;
     /** Largest overshoot seen, as a positive fraction. */

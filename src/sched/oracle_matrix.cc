@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <memory>
-#include <string_view>
 
-#include "common/fsio.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/simd.hh"
@@ -14,30 +12,15 @@
 
 namespace vsmooth::sched {
 
-namespace {
-
-constexpr std::string_view kFormat = "vsmooth-oracle-matrix 1";
-/** Sanity cap on the margin count a file may declare. */
-constexpr std::uint64_t kMaxMargins = 4096;
-
-} // namespace
-
-OracleMatrix::OracleMatrix(
-    const std::vector<workload::SpecBenchmark> &suite,
-    const OracleConfig &cfg, Unmeasured)
-    : suite_(suite), cfg_(cfg), n_(suite.size())
-{
-    if (n_ == 0)
-        fatal("OracleMatrix: empty suite");
-    pairs_.resize(n_ * (n_ + 1) / 2);
-    singles_.resize(n_);
-}
-
 OracleMatrix::OracleMatrix(
     const std::vector<workload::SpecBenchmark> &suite,
     const OracleConfig &cfg)
-    : OracleMatrix(suite, cfg, Unmeasured{})
+    : suite_(suite), cfg_(cfg), n_(suite.size()),
+      pairs_(n_ * (n_ + 1) / 2), singles_(n_)
 {
+    if (n_ == 0)
+        fatal("OracleMatrix: empty suite");
+
     // Every measurement is an independent simulation whose seed
     // derives from (i, j) alone, so the matrix can be built in
     // parallel: each task writes its precomputed triangular slot and
@@ -63,7 +46,7 @@ OracleMatrix::OracleMatrix(
     // measurements, and within each worker a LaneGroup stepping its K
     // independent simulations through one SIMD kernel in lockstep.
     // Group boundaries derive from the task index alone, and every
-    // laned run is bit-identical to a solo measure(), so the matrix is
+    // laned run is bit-identical to a solo run, so the matrix is
     // unchanged for any job count and any lane width.
     const std::size_t lanes = simd::defaultLaneWidth();
     const std::size_t nGroups = (tasks.size() + lanes - 1) / lanes;
@@ -94,111 +77,6 @@ OracleMatrix::OracleMatrix(
     });
 }
 
-bool
-OracleMatrix::save(std::ostream &os, const std::string &key) const
-{
-    // All profiles watch the same margins (one SystemConfig), so the
-    // margins go out once; anything else is not a matrix we can save.
-    const auto &margins = singles_.front().emergencies.margins;
-    auto sameMargins = [&](const PairProfile &p) {
-        return p.emergencies.margins == margins &&
-            p.emergencies.counts.size() == margins.size();
-    };
-    if (!std::all_of(singles_.begin(), singles_.end(), sameMargins) ||
-        !std::all_of(pairs_.begin(), pairs_.end(), sameMargins))
-        return false;
-
-    os << kFormat << "\nkey " << key << "\nsuite";
-    writeField(os, n_);
-    os << " profiles";
-    writeField(os, singles_.size() + pairs_.size());
-    os << " margins";
-    writeField(os, margins.size());
-    os << "\n";
-    for (double m : margins)
-        writeField(os, m);
-    os << "\n";
-    // Singles first, then the upper triangle row-major: load() reads
-    // them back in the same order.
-    auto writeProfile = [&](const PairProfile &p) {
-        writeField(os, p.droopsPer1k);
-        writeField(os, p.ipc);
-        writeField(os, p.emergencies.cycles);
-        for (std::uint64_t c : p.emergencies.counts)
-            writeField(os, c);
-        os << "\n";
-    };
-    for (const auto &p : singles_)
-        writeProfile(p);
-    for (const auto &p : pairs_)
-        writeProfile(p);
-    os << "end\n";
-    return os.good();
-}
-
-std::optional<OracleMatrix>
-OracleMatrix::load(std::istream &is,
-                   const std::vector<workload::SpecBenchmark> &suite,
-                   const OracleConfig &cfg, const std::string &key)
-{
-    OracleMatrix m(suite, cfg, Unmeasured{});
-    std::string line;
-    auto nextLine = [&] { return static_cast<bool>(std::getline(is, line)); };
-    if (!nextLine() || line != kFormat)
-        return std::nullopt;
-    if (!nextLine() || line != "key " + key)
-        return std::nullopt;
-
-    std::uint64_t n = 0, profiles = 0, nMargins = 0;
-    if (!nextLine())
-        return std::nullopt;
-    Fields header(line);
-    if (header.word() != "suite" || !header.next(n) ||
-        header.word() != "profiles" || !header.next(profiles) ||
-        header.word() != "margins" || !header.next(nMargins) ||
-        !header.done() || n != m.n_ ||
-        profiles != m.singles_.size() + m.pairs_.size() ||
-        nMargins == 0 || nMargins > kMaxMargins)
-        return std::nullopt;
-
-    std::vector<double> margins(nMargins);
-    if (!nextLine())
-        return std::nullopt;
-    Fields marginFields(line);
-    for (double &v : margins)
-        if (!marginFields.next(v))
-            return std::nullopt;
-    if (!marginFields.done())
-        return std::nullopt;
-
-    auto readProfile = [&](PairProfile &p) {
-        if (!nextLine())
-            return false;
-        Fields f(line);
-        p.emergencies.margins = margins;
-        p.emergencies.counts.resize(nMargins);
-        if (!f.next(p.droopsPer1k) || !f.next(p.ipc) ||
-            !f.next(p.emergencies.cycles))
-            return false;
-        for (auto &c : p.emergencies.counts)
-            if (!f.next(c))
-                return false;
-        return f.done();
-    };
-    for (auto &p : m.singles_)
-        if (!readProfile(p))
-            return std::nullopt;
-    for (auto &p : m.pairs_)
-        if (!readProfile(p))
-            return std::nullopt;
-    // The end marker, then nothing: a file cut anywhere before it, or
-    // holding anything after it, is not this matrix.
-    if (!nextLine() || line != "end" ||
-        is.peek() != std::istream::traits_type::eof())
-        return std::nullopt;
-    return m;
-}
-
 const PairProfile &
 OracleMatrix::pair(std::size_t i, std::size_t j) const
 {
@@ -207,14 +85,6 @@ OracleMatrix::pair(std::size_t i, std::size_t j) const
     if (i > j)
         std::swap(i, j);
     return pairs_[i * n_ - i * (i + 1) / 2 + j];
-}
-
-PairProfile
-OracleMatrix::measure(std::size_t i, std::size_t j, bool idleSecond) const
-{
-    sim::System sys = buildMeasure(i, j, idleSecond);
-    sys.run(cfg_.cyclesPerPair);
-    return profileFrom(sys, i, j, idleSecond);
 }
 
 sim::System

@@ -7,19 +7,13 @@
  * throughput of running them together on the two cores (the 29x29
  * sweep). Policies then select pairs from a job pool using this
  * matrix. OracleMatrix performs that pre-run phase with the full
- * simulation stack and caches the results. A matrix can also be saved
- * to a file and loaded back bit for bit, so several processes can
- * share one pre-run (see common/fsio's loadOrBuild).
+ * simulation stack and caches the results.
  */
 
 #ifndef VSMOOTH_SCHED_ORACLE_MATRIX_HH
 #define VSMOOTH_SCHED_ORACLE_MATRIX_HH
 
 #include <cstdint>
-#include <istream>
-#include <optional>
-#include <ostream>
-#include <string>
 #include <vector>
 
 #include "resilience/perf_model.hh"
@@ -65,28 +59,10 @@ class OracleMatrix
     /**
      * Run the pre-run measurement phase over all pairs (i <= j; the
      * matrix is symmetric by construction since core order does not
-     * matter). Always a full build: the constructor never touches a
-     * cache.
+     * matter).
      */
     OracleMatrix(const std::vector<workload::SpecBenchmark> &suite,
                  const OracleConfig &cfg);
-
-    /**
-     * Stream the profiles in load()'s format, headed by `key`: the
-     * watched margins once, then one line per profile, doubles as
-     * their bit patterns. Returns false on a stream error.
-     */
-    bool save(std::ostream &os, const std::string &key) const;
-
-    /**
-     * The matrix save() wrote under exactly `key`, with one profile
-     * per measurement of `suite`. Any other input (wrong key or
-     * profile count, a truncated stream, a malformed token, trailing
-     * data) yields nullopt, never a partial matrix.
-     */
-    static std::optional<OracleMatrix>
-    load(std::istream &is, const std::vector<workload::SpecBenchmark> &suite,
-         const OracleConfig &cfg, const std::string &key);
 
     std::size_t size() const { return n_; }
     const workload::SpecBenchmark &benchmark(std::size_t i) const
@@ -106,15 +82,6 @@ class OracleMatrix
     const OracleConfig &config() const { return cfg_; }
 
   private:
-    /** Tag for the constructor that sizes but does not measure. */
-    struct Unmeasured
-    {
-    };
-    OracleMatrix(const std::vector<workload::SpecBenchmark> &suite,
-                 const OracleConfig &cfg, Unmeasured);
-
-    PairProfile measure(std::size_t i, std::size_t j,
-                        bool idleSecond) const;
     /** Construct (but do not run) the System for one measurement. */
     sim::System buildMeasure(std::size_t i, std::size_t j,
                              bool idleSecond) const;

@@ -128,30 +128,38 @@ int
 runRemote(const ClientOptions &opt)
 {
     const int fd = connectTo(opt);
+    // A daemon at its connection cap answers `busy` and closes, maybe
+    // before the request is all sent, so its reply is read either way.
 
     if (opt.shutdown || opt.stats) {
         Json req = Json::object();
         req.set("type", opt.shutdown ? "shutdown" : "stats");
-        if (!sendLine(fd, req.dump()))
-            fatal("cannot send request: %s", std::strerror(errno));
+        const bool sent = sendLine(fd, req.dump());
+        const int sendErrno = errno;
         LineReader reader(fd);
         std::string line;
         const LineReader::Status st = reader.next(&line);
         ::close(fd);
         if (st != LineReader::Status::Line) {
+            if (!sent)
+                fatal("cannot send request: %s", std::strerror(sendErrno));
             std::cerr << "no response from server\n";
             return 1;
         }
         std::cout << line << "\n";
-        return 0;
+        const Json reply = Json::parse(line);
+        const Json *retry = reply.find("retryable");
+        if (!retry)
+            return 0;
+        return retry->isBool() && retry->asBool() ? 3 : 1;
     }
 
     const Json items = loadItems(opt.batchFile);
     std::string req = "{\"type\": \"batch\", \"id\": " +
         Json(opt.batchId).dump() + ", \"items\": " + items.dump() +
         "}";
-    if (!sendLine(fd, req))
-        fatal("cannot send batch: %s", std::strerror(errno));
+    const bool sent = sendLine(fd, req);
+    const int sendErrno = errno;
 
     LineReader reader(fd);
     std::vector<ItemResponse> responses;
@@ -160,7 +168,12 @@ runRemote(const ClientOptions &opt)
     std::string line;
     for (;;) {
         const LineReader::Status st = reader.next(&line);
+        // Closed after a retryable error: print it, exit retryable.
+        if (st != LineReader::Status::Line && sawRetryable)
+            break;
         if (st != LineReader::Status::Line) {
+            if (!sent)
+                fatal("cannot send batch: %s", std::strerror(sendErrno));
             std::cerr << "connection lost before batch_done\n";
             ::close(fd);
             return 1;

@@ -41,7 +41,8 @@ struct ClientOptions
 /**
  * Exit codes: 0 = all items succeeded; 1 = usage/connection/protocol
  * failure or a non-retryable item error; 3 = at least one item was
- * rejected with a retryable status (busy/draining) — resubmit.
+ * rejected with a retryable status (busy/draining), or the daemon
+ * turned the connection away `busy` at its connection cap — resubmit.
  */
 int runClient(const ClientOptions &opt);
 

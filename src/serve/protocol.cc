@@ -1,5 +1,6 @@
 #include "protocol.hh"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -64,8 +65,8 @@ sendLine(int fd, std::string_view payload)
     frame.push_back('\n');
     std::size_t off = 0;
     while (off < frame.size()) {
-        const ssize_t n =
-            ::write(fd, frame.data() + off, frame.size() - off);
+        const ssize_t n = ::send(fd, frame.data() + off,
+                                 frame.size() - off, MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EINTR)
                 continue;

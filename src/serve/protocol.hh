@@ -65,8 +65,9 @@ class LineReader
     bool eof_ = false;
 };
 
-/** Write `payload` plus a newline, handling short writes; false on
- *  any write failure (peer gone, or the socket's send timeout). */
+/** Send `payload` plus a newline on socket `fd`, handling short
+ *  writes; false on any send failure (peer gone, or the socket's send
+ *  timeout). A peer that has gone never raises SIGPIPE. */
 bool sendLine(int fd, std::string_view payload);
 
 /** Structured error response. */

@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
@@ -42,6 +43,11 @@ constexpr int kAcceptBackoffMs = 100;
  *  before the daemon gives that client up. */
 constexpr time_t kSendTimeoutS = 3;
 
+/** Descriptors kept free below RLIMIT_NOFILE for the daemon itself
+ *  (its listener, wake pipe, log and ready file, a sanitizer runtime's
+ *  probes, and the socket of a client being turned away). */
+constexpr rlim_t kFdHeadroom = 16;
+
 extern "C" void
 onTermSignal(int)
 {
@@ -52,21 +58,25 @@ onTermSignal(int)
     }
 }
 
-/** One client connection. Response lines are written under `writeM`
- *  so concurrent executor completions never interleave bytes. A send
- *  that fails or times out breaks the connection: later sends return
- *  at once, so an executor never waits on that client again, and the
- *  socket is shut down, so its reader sees EOF and retires. */
+/** One client connection, counted in `live` until it closes its fd.
+ *  Response lines are written under `writeM` so concurrent executor
+ *  completions never interleave bytes. A send that fails or times out
+ *  breaks the connection: later sends return at once, executors skip
+ *  its queued items, and the socket is shut down, so its reader sees
+ *  EOF and retires. */
 struct Connection
 {
-    explicit Connection(int fd) : fd(fd)
+    Connection(int fd, std::atomic<std::size_t> &live) : fd(fd), live(live)
     {
+        ++live;
         const timeval timeout{kSendTimeoutS, 0};
         ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout,
                      sizeof(timeout));
     }
     ~Connection()
     {
+        // Uncounted first: once the fd is gone, so is its count.
+        --live;
         if (fd >= 0)
             ::close(fd);
     }
@@ -87,8 +97,10 @@ struct Connection
     bool send(const Json &j) { return send(j.dump()); }
 
     int fd;
+    std::atomic<std::size_t> &live;
     std::mutex writeM;
-    bool broken = false; ///< guarded by writeM
+    /** Set, under writeM, by the first send that fails. */
+    std::atomic<bool> broken{false};
 };
 
 /** Progress of one batch request; the executor completing the final
@@ -190,6 +202,10 @@ class Server
     int wakeRead_ = -1;
     int wakeWrite_ = -1;
     std::atomic<bool> draining_{false};
+    /** Connections alive, each holding a descriptor; at connCap_ (0 =
+     *  no cap) new clients are answered `busy` and closed. */
+    std::atomic<std::size_t> liveConns_{0};
+    std::size_t connCap_ = 0;
 
     /** A live connection and the thread reading its requests. */
     struct Reader
@@ -293,6 +309,13 @@ Server::run()
 
     if (!listenSocket())
         return 1;
+    // Stop taking clients while the daemon still has descriptors to
+    // spare, so neither it nor its sanitizers run into EMFILE.
+    if (rlimit lim{}; ::getrlimit(RLIMIT_NOFILE, &lim) == 0 &&
+        lim.rlim_cur != RLIM_INFINITY)
+        connCap_ = lim.rlim_cur > kFdHeadroom
+            ? static_cast<std::size_t>(lim.rlim_cur - kFdHeadroom)
+            : 1;
 
     std::vector<std::thread> executors;
     for (std::size_t i = 0; i < std::max<std::size_t>(1, opt_.workers);
@@ -350,7 +373,7 @@ Server::run()
 void
 Server::acceptLoop()
 {
-    bool starved = false;
+    bool starved = false, full = false;
     for (;;) {
         pollfd fds[2] = {{listenFd_, POLLIN, 0},
                          {wakeRead_, POLLIN, 0}};
@@ -368,7 +391,20 @@ Server::acceptLoop()
         const int fd = ::accept(listenFd_, nullptr, nullptr);
         if (fd >= 0) {
             starved = false;
-            startReader(fd);
+            if (connCap_ == 0 || liveConns_ < connCap_) {
+                full = false;
+                startReader(fd);
+                continue;
+            }
+            if (!full)
+                warn("serve: %zu connections open; new clients get busy",
+                     connCap_);
+            full = true;
+            sendLine(fd, makeError("busy",
+                                   "too many connections; reconnect later",
+                                   /*retryable=*/true)
+                             .dump());
+            ::close(fd);
             continue;
         }
         if (errno != EMFILE && errno != ENFILE && errno != ENOBUFS &&
@@ -389,7 +425,7 @@ Server::acceptLoop()
 void
 Server::startReader(int fd)
 {
-    auto conn = std::make_shared<Connection>(fd);
+    auto conn = std::make_shared<Connection>(fd, liveConns_);
     std::lock_guard lk(connsM_);
     // Inserted before the thread starts, and under the lock the reader
     // takes to retire, so retireReader always finds its entry.
@@ -560,6 +596,12 @@ Server::handleBatch(const std::shared_ptr<Connection> &conn,
         const std::size_t index = i;
         Task task;
         task.run = [this, state, item, hash, index] {
+            // The daemon has given this client up, so nobody would read
+            // the result: skip the work, still count the item done.
+            if (state->conn->broken) {
+                state->finishOne();
+                return;
+            }
             const Result r = runBatchItem(*item);
             std::string bytes = serializeResult(r);
             state->conn->send(resultLine(*state, item->id, index,

@@ -21,12 +21,17 @@
  * reader retires: the daemon forgets the connection, whose fd closes
  * as soon as no in-flight batch still holds it, and the reader joins
  * the one that retired before it, so at most one exited reader waits
- * to be joined (by the next to retire, or at drain). When accept()
- * runs out of descriptors or memory, the acceptor backs off instead
- * of polling straight back into the same failure. A client that
- * stops reading is given up once a write to it has blocked for a few
- * seconds: its connection is shut down and later sends to it return
- * at once, so it cannot hold an executor.
+ * to be joined (by the next to retire, or at drain). Connections are
+ * capped a fixed headroom below the soft RLIMIT_NOFILE: a client
+ * beyond the cap is accepted, told `busy` (retryable) and closed, so
+ * the daemon keeps descriptors for itself. Should accept() still run
+ * out of descriptors or memory, the acceptor backs off instead of
+ * polling straight back into the same failure. A client that stops
+ * reading is given up once a write to it has blocked for a few
+ * seconds: its connection is shut down, later sends to it return at
+ * once and executors skip its queued items, so it cannot hold an
+ * executor. A client that closes is given up at the first result
+ * that cannot reach it.
  */
 
 #ifndef VSMOOTH_SERVE_SERVER_HH

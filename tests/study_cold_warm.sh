@@ -1,8 +1,8 @@
 #!/bin/sh
 # Run a study binary twice in one fresh TMPDIR: the first run must
-# build the pre-run and save it (a cache miss), the second must read it
-# (a hit), and both must print and emit identical bytes for each of the
-# study's experiments.
+# run the study and save its output (a cache miss), the second must
+# replay it (a hit), and both must print and emit identical bytes for
+# each of the study's experiments.
 #
 #   tests/study_cold_warm.sh <study binary> <scratch dir> <experiment>...
 set -eu
@@ -17,8 +17,8 @@ for run in cold warm; do
     TMPDIR="${DIR}/tmp" VSMOOTH_RESULT_DIR="${DIR}/${run}" "${BIN}" \
         > "${DIR}/${run}.txt" 2> "${DIR}/${run}.log"
 done
-grep -q 'pre-run built, saved to' "${DIR}/cold.log"
-grep -q 'pre-run read from' "${DIR}/warm.log"
+grep -q 'ran; output saved to' "${DIR}/cold.log"
+grep -q 'output replayed from' "${DIR}/warm.log"
 
 cmp "${DIR}/cold.txt" "${DIR}/warm.txt"
 for exp in "$@"; do

@@ -10,9 +10,11 @@
  * or schema error on one request produces a structured error response
  * on the same connection — never a disconnect, never a dead daemon.
  * The lifecycle tests run the daemon with few descriptors: closed
- * connections must give theirs back, and running out must neither
- * spin the acceptor nor wedge it. A client that stops reading must
- * not wedge the executors either.
+ * connections must give theirs back, running out must neither spin
+ * the acceptor nor wedge it, and the connection cap must answer every
+ * client it turns away. A client that stops reading must not wedge
+ * the executors either, and the queued work of a client the daemon
+ * has given up is skipped.
  */
 
 #include <gtest/gtest.h>
@@ -684,16 +686,28 @@ TEST(ServeDaemon, ClosedConnectionsGiveBackTheirDescriptors)
 
 TEST(ServeDaemon, RunningOutOfDescriptorsNeitherSpinsNorWedges)
 {
-    // 45 clients at once against 40 descriptors: while some wait to
-    // be accepted the daemon must sleep, not poll straight back into
-    // EMFILE, and once they close it must answer again.
+    // At 16 descriptors or fewer the connection cap is one client, and
+    // with one descriptor to spare that client fills the table, so
+    // accept() fails with EMFILE: while the others wait to be accepted
+    // the daemon must sleep, not poll straight back into EMFILE, and
+    // once they close it must answer again.
     const fs::path dir = scratchDir("emfile");
     Daemon daemon;
-    daemon.fdLimit = 40;
+    daemon.fdLimit = 16;
     ASSERT_TRUE(daemon.start(dir));
+    const rlim_t spare = fdCount(daemon.pid) + 1;
+    ASSERT_LE(spare, daemon.fdLimit);
+    const rlimit limit{spare, spare};
+    ASSERT_EQ(::prlimit(daemon.pid, RLIMIT_NOFILE, &limit, nullptr), 0)
+        << std::strerror(errno);
 
-    std::vector<int> clients;
-    for (int i = 0; i < 45; ++i) {
+    const int served = connectUnix(daemon.sock);
+    ASSERT_TRUE(sendLine(served, "{\"type\": \"ping\"}"));
+    std::string line;
+    ASSERT_EQ(LineReader(served).next(&line), LineReader::Status::Line);
+    EXPECT_NE(line.find("\"pong\""), std::string::npos) << line;
+    std::vector<int> clients{served};
+    for (int i = 0; i < 4; ++i) {
         const int fd = connectUnix(daemon.sock);
         ASSERT_TRUE(sendLine(fd, "{\"type\": \"ping\"}"));
         clients.push_back(fd);
@@ -703,6 +717,9 @@ TEST(ServeDaemon, RunningOutOfDescriptorsNeitherSpinsNorWedges)
     std::this_thread::sleep_for(std::chrono::seconds(1));
     EXPECT_LT(cpuSeconds(daemon.pid) - starved, 0.2)
         << "the acceptor spins while out of descriptors";
+    EXPECT_NE(slurp(dir / "serve.log").find("backing off"),
+              std::string::npos)
+        << "accept never ran out of descriptors";
 
     for (int fd : clients)
         ::close(fd);
@@ -778,4 +795,139 @@ TEST(ServeDaemon, ClientThatStopsReadingCannotWedgeTheExecutors)
         << fdCount(daemon.pid) << " fds open, " << fds << " before";
     EXPECT_EQ(daemon.terminate(), 0);
     ::close(a);
+}
+
+TEST(ServeDaemon, QueuedItemsOfAClientThatWasGivenUpAreSkipped)
+{
+    // Client A queues 64 slow misses and leaves. Once a send to A has
+    // failed, the executors must skip A's queued items rather than
+    // compute results nobody reads while client B's miss waits behind
+    // them.
+    const fs::path dir = scratchDir("given_up");
+    Daemon daemon;
+    ASSERT_TRUE(daemon.start(dir));
+
+    const int a = connectUnix(daemon.sock);
+    std::string batch = "{\"type\": \"batch\", \"id\": \"a\", \"items\": [";
+    for (int i = 0; i < 64; ++i) {
+        batch += i ? ", " : "";
+        batch += "{\"kind\": \"oracle_cell\", \"bench_a\": \"mcf\", "
+                 "\"bench_b\": \"lbm\", \"cycles_per_pair\": 1000000, "
+                 "\"oracle_seed\": " +
+            std::to_string(1000 + i) + "}";
+    }
+    ASSERT_TRUE(sendLine(a, batch + "]}"));
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+    const int b = connectUnix(daemon.sock);
+    LineReader reader(b);
+    std::string line;
+    auto insertions = [&] {
+        EXPECT_TRUE(sendLine(b, "{\"type\": \"stats\"}"));
+        EXPECT_EQ(reader.next(&line), LineReader::Status::Line);
+        const Json stats = Json::parse(line);
+        const Json *n = stats.find("cache_insertions");
+        EXPECT_TRUE(n && n->isUint()) << line;
+        return n && n->isUint() ? n->asUint64() : 0;
+    };
+    const std::uint64_t before = insertions();
+    ::close(a);
+
+    // B's miss is queued behind all of A's items, so by the time its
+    // result arrives every one of them has left the queue.
+    ASSERT_TRUE(sendLine(
+        b, "{\"type\": \"batch\", \"id\": \"b\", \"items\": "
+           "[{\"kind\": \"oracle_cell\", \"bench_a\": \"hmmer\", "
+           "\"bench_b\": \"milc\", \"cycles_per_pair\": 20000}]}"));
+    bool served = false;
+    while (reader.next(&line) == LineReader::Status::Line &&
+           line.find("\"batch_done\"") == std::string::npos)
+        served |= line.find("\"type\": \"result\"") != std::string::npos;
+    ASSERT_TRUE(served) << line;
+
+    // Computed after A left: the items the two executors were running
+    // then (and any finishing while A closed), plus B's.
+    const std::uint64_t after = insertions();
+    EXPECT_LE(after - before, 2u + 2u + 1u)
+        << "of A's 64 items, " << after - before - 1
+        << " were computed after A left";
+    ::close(b);
+    EXPECT_EQ(daemon.terminate(), 0);
+}
+
+TEST(ServeDaemon, ConnectionCapAnswersEveryClientBeforeDescriptorsRunOut)
+{
+    // 45 clients at once against 40 descriptors: the daemon must stop
+    // taking connections while it still has descriptors to spare, and
+    // tell each client it turns away to retry, never leave it waiting.
+    const fs::path dir = scratchDir("conn_cap");
+    Daemon daemon;
+    daemon.fdLimit = 40;
+    ASSERT_TRUE(daemon.start(dir));
+    const std::size_t fds = fdCount(daemon.pid);
+
+    std::vector<int> clients;
+    for (int i = 0; i < 45; ++i) {
+        const int fd = connectUnix(daemon.sock);
+        // Fails if the cap has already answered this client and closed.
+        sendLine(fd, "{\"type\": \"ping\"}");
+        clients.push_back(fd);
+    }
+    // One deadline for all the replies.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    std::size_t pongs = 0, busy = 0;
+    for (std::size_t i = 0; i < clients.size(); ++i) {
+        const auto left = std::max<std::chrono::microseconds::rep>(
+            1000, std::chrono::duration_cast<std::chrono::microseconds>(
+                      deadline - std::chrono::steady_clock::now())
+                      .count());
+        const timeval tv{static_cast<time_t>(left / 1'000'000),
+                         static_cast<suseconds_t>(left % 1'000'000)};
+        ::setsockopt(clients[i], SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+        std::string line;
+        if (LineReader(clients[i]).next(&line) != LineReader::Status::Line) {
+            ADD_FAILURE() << "client " << i << " got no reply";
+            continue;
+        }
+        const Json reply = Json::parse(line);
+        const Json *type = reply.find("type");
+        const Json *code = reply.find("code");
+        const Json *retryable = reply.find("retryable");
+        if (type && type->isString() && type->asString() == "pong") {
+            ++pongs;
+        } else if (code && code->isString() && code->asString() == "busy" &&
+                   retryable && retryable->isBool() &&
+                   retryable->asBool()) {
+            ++busy;
+        } else {
+            ADD_FAILURE() << "client " << i << " got " << line;
+        }
+    }
+    EXPECT_GT(pongs, 0u);
+    EXPECT_GT(busy, 0u) << "45 clients cannot all hold one of 40 fds";
+
+    // While the served clients hold the cap, `vsmooth client` is turned
+    // away too: it prints the busy line and exits 3, retryable.
+    const fs::path batch = dir / "batch.json";
+    std::ofstream(batch) << "[{\"kind\": \"summary\", "
+                            "\"config\": {\"seed\": 7, \"cycles\": 2000}}]\n";
+    const CliResult turnedAway =
+        runCli("client --socket " + daemon.sock + " --batch " +
+               batch.string());
+    EXPECT_EQ(turnedAway.exitCode, 3) << turnedAway.output;
+    EXPECT_NE(turnedAway.output.find("\"busy\""), std::string::npos)
+        << turnedAway.output;
+    EXPECT_EQ(runCli("client --socket " + daemon.sock + " --stats").exitCode,
+              3);
+    for (int fd : clients)
+        ::close(fd);
+
+    const std::string log = slurp(dir / "serve.log");
+    EXPECT_EQ(log.find("backing off"), std::string::npos) << log;
+    // Once the clients' descriptors are back, the daemon answers again.
+    EXPECT_TRUE(fdCountSettlesAt(daemon.pid, fds))
+        << fdCount(daemon.pid) << " fds open, " << fds << " before";
+    EXPECT_TRUE(pingOnce(daemon.sock));
+    EXPECT_EQ(daemon.terminate(), 0);
 }

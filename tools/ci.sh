@@ -3,8 +3,9 @@
 # regression, the benchmark's self-test, a ThreadSanitizer smoke of
 # the parallel sweep engine, an ASan+UBSan property-fuzzing smoke
 # over every property, an ASan+UBSan serve-daemon round trip (a
-# client that stops reading, cache resubmission, connection churn +
-# SIGTERM drain), and a
+# client that stops reading, a client that leaves its queue behind,
+# the connection cap, cache resubmission, connection churn + SIGTERM
+# drain), and a
 # clean-work-tree check. Run from the repository root:
 #
 #   tools/ci.sh [build-dir]
@@ -68,11 +69,21 @@ cmp "${FUZZ_DIR}/fuzz-summary-a.json" "${FUZZ_DIR}/fuzz-summary-b.json"
 "${FUZZ_DIR}/src/tools/vsmooth" fuzz --corpus tests/corpus \
       --summary "${FUZZ_DIR}/fuzz-corpus-summary.json"
 
-echo "== ASan+UBSan serve: stalled reader, cached batch, connection churn, SIGTERM drain =="
+echo "== ASan+UBSan serve: stalled reader, abandoned queue, descriptor limit, cached batch, connection churn, SIGTERM drain =="
 # A client that stops reading must not wedge the executors: another
 # client's miss is still answered, and the daemon drops the stalled one.
+# The queued items of a client the daemon has given up are skipped.
+# At its connection cap the daemon answers every client (a pong or a
+# retryable busy) with descriptors to spare. halt_on_error makes any
+# UBSan report from these daemons fatal.
+UBSAN_OPTIONS=halt_on_error=1 "${FUZZ_DIR}/tests/vsmooth_tests" \
+      --gtest_filter='ServeDaemon.ClientThatStopsReadingCannotWedgeTheExecutors:ServeDaemon.QueuedItemsOfAClientThatWasGivenUpAreSkipped:ServeDaemon.ConnectionCapAnswersEveryClientBeforeDescriptorsRunOut'
+# Out of descriptors the daemon must back off, not spin, and answer
+# once clients close. There UBSan's vptr check cannot probe memory (the
+# probe opens a pipe) and reports valid objects as `invalid vptr`, so
+# this run leaves UBSan's reports recoverable.
 "${FUZZ_DIR}/tests/vsmooth_tests" \
-      --gtest_filter='ServeDaemon.ClientThatStopsReadingCannotWedgeTheExecutors'
+      --gtest_filter='ServeDaemon.RunningOutOfDescriptorsNeitherSpinsNorWedges'
 # Boot the daemon on a Unix socket, submit an oracle-matrix and
 # population batch twice, and require the second pass to be answered
 # entirely from the content-addressed cache with byte-identical
